@@ -2,28 +2,29 @@
 
 Every expensive workload in the repro — figure regeneration, fault
 campaigns, leakcheck seed-sweeps, the bench suite — is a batch of
-independent seeded runs.  This package executes such batches across
-worker processes with deterministic results (serial and ``--jobs N``
-runs are byte-identical), reaps crashed or hung workers and retries
-their tasks, and memoises every successful run in a sqlite campaign DB
-keyed by config hash + git revision so unchanged re-runs are served
-from cache.  See ``docs/robustness.md``.
+independent seeded runs.  This package executes such batches through
+one scheduler with deterministic results (serial and ``--jobs N`` runs
+are byte-identical), bounded retries with full-jitter backoff and
+reseeding, per-task timeouts that kill the work they time out, and a
+JSON manifest checkpointing every landed task for ``--resume``.  It
+reaps crashed or hung workers and retries their tasks, and memoises
+every successful run in a sqlite campaign DB keyed by config hash +
+git revision so unchanged re-runs are served from cache.  See
+``docs/robustness.md``.
 """
 
 from repro.campaign.db import CampaignDB, JobRow, RunRow, config_hash
-from repro.campaign.engine import (
-    CampaignEngine,
-    CampaignTask,
-    derive_task_seed,
-)
+from repro.campaign.engine import CampaignEngine, CampaignTask
 from repro.campaign.payload import (
     PayloadError,
     decode_payload,
     encode_payload,
 )
-from repro.campaign.worker import TEST_CRASH_ENV, TEST_CRASH_EXIT
+from repro.campaign.records import BatchReport, TaskRecord, load_manifest
+from repro.campaign.worker import TEST_CRASH_ENV, TEST_CRASH_EXIT, TaskTimeout
 
 __all__ = [
+    "BatchReport",
     "CampaignDB",
     "CampaignEngine",
     "CampaignTask",
@@ -32,8 +33,10 @@ __all__ = [
     "RunRow",
     "TEST_CRASH_ENV",
     "TEST_CRASH_EXIT",
+    "TaskRecord",
+    "TaskTimeout",
     "config_hash",
     "decode_payload",
-    "derive_task_seed",
     "encode_payload",
+    "load_manifest",
 ]

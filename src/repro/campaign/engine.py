@@ -1,25 +1,39 @@
 """Crash-isolated sharded campaign engine.
 
-The coordinator fans :class:`CampaignTask` specs out to worker
-processes (:mod:`repro.campaign.worker`) and aggregates the outcomes
-into the runner's existing :class:`~repro.runner.TaskRecord` /
-:class:`~repro.runner.BatchReport` checkpoint format, so manifests
-written by a parallel campaign resume seamlessly under the serial
-runner and vice versa.
+The coordinator runs :class:`CampaignTask` specs through one scheduler
+loop and aggregates the outcomes into :class:`~repro.campaign.records.
+TaskRecord` / :class:`~repro.campaign.records.BatchReport`, checkpointing
+the JSON manifest after every landed task so ``--resume`` picks up where
+an interrupted batch stopped.
+
+Where an attempt runs follows from the engine's own settings:
+
+* **in-process** when there is no timeout and ``jobs == 1`` — no fork,
+  no pipe, no poll tick;
+* **on a forked worker** (:mod:`repro.campaign.worker`), at most
+  ``jobs`` of them, otherwise.  The worker's SIGALRM enforces the task
+  timeout and the watchdog's SIGKILL is the backstop, so every timeout
+  stops the work it times out — ``jobs=1`` with a timeout is one
+  killable worker.
+
+A task whose function cannot be pickled (a lambda, a closure) runs
+in-process on either path.  Its timeout then needs SIGALRM, i.e. the
+main thread; off the main thread such a task lands as a ``failed``
+record rather than on a thread nobody could stop.
 
 Guarantees:
 
 * **Determinism** — task identity (name, function, kwargs) fully
   determines the work; nothing about shard assignment or completion
   order feeds back into a task, so a serial run and an ``--jobs N`` run
-  produce identical result payloads.  Reseeded retries derive their
-  seed from the attempt index exactly like the serial runner.
+  produce identical records and result payloads.  Both share one retry
+  policy: full-jitter backoff, and ``seed = reseed_base + attempt`` for
+  retried tasks that accept a ``seed``.
 * **Crash isolation** — a worker that exits (segfault, OOM kill,
   ``os._exit``), raises, or stops heartbeating is reaped by the
-  coordinator's watchdog pass; its task is retried with exponential
-  backoff (and a fresh seed, when the task accepts one) on a fresh
-  worker.  Exhausted retries degrade to a structured ``failed`` /
-  ``timeout`` record — a batch is never lost wholesale.
+  coordinator's watchdog pass and its task retried on a fresh worker.
+  Exhausted retries degrade to a structured ``failed`` / ``timeout``
+  record — a batch is never lost wholesale.
 * **Result caching** — with a :class:`~repro.campaign.db.CampaignDB`
   attached, a task whose config hash and git revision match a stored
   successful run is served from the DB without executing anything, and
@@ -48,20 +62,18 @@ from typing import Any, Callable
 from repro import obs
 from repro.campaign.db import CampaignDB, config_hash
 from repro.campaign.payload import PayloadError, decode_payload, encode_payload
-from repro.campaign.worker import execute_task, worker_main
-from repro.runner.core import (
+from repro.campaign.records import (
     STATUS_FAILED,
     STATUS_OK,
     STATUS_SKIPPED,
     STATUS_TIMEOUT,
     BatchReport,
-    ExperimentRunner,
     TaskRecord,
-    TaskSpec,
     _accepts_seed,
-    _write_manifest,
     load_manifest,
+    write_manifest,
 )
+from repro.campaign.worker import alarm_available, execute_task, worker_main
 from repro.trace.counters import CounterRegistry
 from repro.utils.provenance import git_rev as _git_rev
 
@@ -74,6 +86,11 @@ _TICK = 0.05
 _DEADLINE_SLACK = 1.5
 _DEADLINE_GRACE = 5.0
 
+_UNENFORCEABLE = (
+    "timeout cannot be enforced: the task function cannot be pickled to a "
+    "killable worker, and the in-process SIGALRM needs the main thread"
+)
+
 
 @dataclass(frozen=True)
 class CampaignTask:
@@ -81,14 +98,12 @@ class CampaignTask:
 
     ``fn`` must be an importable module-level callable for the task to
     ship to a worker process; anything else (lambdas, closures) still
-    runs, but inline in the coordinator as a graceful degradation.
+    runs, but in-process in the coordinator as a graceful degradation.
     """
 
     name: str
     fn: Callable[..., Any]
     kwargs: dict[str, Any] = field(default_factory=dict)
-    timeout: float | None = None  # overrides the engine default
-    retries: int | None = None  # overrides the engine default
 
     @property
     def config_hash(self) -> str:
@@ -116,24 +131,16 @@ def _fn_resolvable(fn: Callable[..., Any]) -> bool:
     return obj is fn
 
 
-def derive_task_seed(base: int, name: str, attempt: int) -> int:
-    """Deterministic per-task reseed, independent of shard assignment."""
-    from repro.utils.rng import derive_rng
-
-    return derive_rng(base, "campaign", name, f"attempt{attempt}").getrandbits(63)
-
-
 class _TaskState:
     """Coordinator-side bookkeeping for one in-flight task."""
 
     __slots__ = (
         "task", "attempts", "eligible_at", "started", "last_status",
-        "last_error", "last_detail", "seed", "timeout", "retries",
-        "span", "queued_wall", "started_wall",
+        "last_error", "last_detail", "seed", "span", "queued_wall",
+        "started_wall",
     )
 
-    def __init__(self, task: CampaignTask, *, timeout: float | None,
-                 retries: int) -> None:
+    def __init__(self, task: CampaignTask) -> None:
         self.task = task
         self.attempts = 0
         self.eligible_at = 0.0
@@ -142,8 +149,6 @@ class _TaskState:
         self.last_error = ""
         self.last_detail = ""
         self.seed: int | None = None
-        self.timeout = timeout
-        self.retries = retries
         # Fleet tracing + queue-wait bookkeeping (wall clock, not the
         # monotonic clock `started` uses for elapsed).
         self.span: Any = obs.NULL_SPAN
@@ -211,8 +216,20 @@ class _Worker:
                 pass
 
 
+@dataclass
+class _Batch:
+    """Scheduler state of one :meth:`CampaignEngine.run` call."""
+
+    manifest: dict[str, TaskRecord]
+    on_record: Callable[[TaskRecord], None] | None
+    results: dict[str, TaskRecord] = field(default_factory=dict)
+    pending: list[_TaskState] = field(default_factory=list)
+    workers: list[_Worker] = field(default_factory=list)
+    abort: bool = False  # fail-fast tripped: schedule nothing new
+
+
 class CampaignEngine:
-    """Run a batch of :class:`CampaignTask` across worker processes."""
+    """Run a batch of :class:`CampaignTask`, in-process or on workers."""
 
     def __init__(
         self,
@@ -262,10 +279,13 @@ class CampaignEngine:
         # Cooperative shutdown: request_stop() (drain: in-flight tasks
         # finish, pending tasks become cancelled records) and the
         # coordinator's own SIGINT/SIGTERM handler (interrupt: in-flight
-        # workers are killed too).  Both are sticky for the engine's
+        # work is abandoned too).  Both are sticky for the engine's
         # lifetime; an engine runs one campaign.
         self._stop_requested = False
         self._interrupted = False
+        # True while an in-process attempt runs on the main thread: the
+        # signal handler then raises KeyboardInterrupt into the task.
+        self._in_attempt = False
         # Retry backoff uses full jitter (uniform in [0, cap]) so many
         # shards failing at once do not retry in lockstep; seeding from
         # reseed_base keeps test campaigns reproducible.
@@ -315,17 +335,14 @@ class CampaignEngine:
             manifest: dict[str, TaskRecord] = {}
             if self.manifest_path is not None and self.resume:
                 manifest = load_manifest(self.manifest_path)
-
-            results: dict[str, TaskRecord] = {}
-            to_run: list[CampaignTask] = []
+            batch = _Batch(manifest=manifest, on_record=on_record)
             tracing = obs.active() is not None
             for task in tasks:
                 previous = manifest.get(task.name)
                 if previous is not None and previous.ok:
                     previous.cached = True
                     self._c_manifest_hits.incr()
-                    self._land(previous, manifest, on_record, persist=False)
-                    results[task.name] = previous
+                    self._land(batch, previous, persist=False)
                     if tracing:
                         obs.start_span(
                             "campaign.task", kind="campaign.task",
@@ -334,24 +351,27 @@ class CampaignEngine:
                     continue
                 cached = self._cache_lookup(task)
                 if cached is not None:
-                    self._land(cached, manifest, on_record, persist=False)
-                    results[task.name] = cached
+                    self._land(batch, cached, persist=False)
                     if tracing:
                         obs.start_span(
                             "campaign.task", kind="campaign.task",
                             attrs={"task": task.name, "cache": "hit"},
                         ).end(STATUS_OK)
                     continue
-                to_run.append(task)
+                state = _TaskState(task)
+                if tracing:
+                    state.span = obs.start_span(
+                        "campaign.task", kind="campaign.task",
+                        attrs={"task": task.name,
+                               "config_hash": task.config_hash[:12]},
+                    )
+                batch.pending.append(state)
 
-            if to_run:
-                if self.jobs == 1:
-                    self._run_serial(to_run, results, manifest, on_record)
-                else:
-                    self._run_parallel(to_run, results, manifest, on_record)
+            if batch.pending:
+                self._execute(batch)
 
             report = BatchReport()
-            report.records = [results[name] for name in names]
+            report.records = [batch.results[name] for name in names]
             run_span.set_many({
                 "executed": int(self._c_executed.value),
                 "cached": int(self._c_cache_hits.value
@@ -410,17 +430,6 @@ class CampaignEngine:
         cap = self.backoff * (2 ** max(0, attempts - 1))
         return self._backoff_rng.uniform(0.0, cap)
 
-    def _cancel_record(self, name: str, why: str) -> TaskRecord:
-        self._c_cancelled.incr()
-        return TaskRecord(
-            name=name, status=STATUS_SKIPPED, error=f"cancelled ({why})"
-        )
-
-    def _effective(self, task: CampaignTask) -> tuple[float | None, int]:
-        timeout = task.timeout if task.timeout is not None else self.timeout
-        retries = task.retries if task.retries is not None else self.retries
-        return timeout, retries
-
     def _cache_lookup(self, task: CampaignTask) -> TaskRecord | None:
         if self.db is None or not self.use_cache:
             return None
@@ -451,14 +460,14 @@ class CampaignEngine:
 
     def _land(
         self,
+        batch: _Batch,
         record: TaskRecord,
-        manifest: dict[str, TaskRecord],
-        on_record: Callable[[TaskRecord], None] | None,
         *,
         persist: bool,
         task: CampaignTask | None = None,
     ) -> None:
         """Finalize one record: counters, campaign DB, manifest, callback."""
+        batch.results[record.name] = record
         if record.queued_at and record.started_at:
             self._queue_waits.append(record.queue_wait)
         if not record.cached and record.status != STATUS_SKIPPED:
@@ -472,6 +481,8 @@ class CampaignEngine:
                 self._c_failed.incr()
         elif record.status == STATUS_SKIPPED:
             self._c_skipped.incr()
+        if self.fail_fast and record.status in (STATUS_FAILED, STATUS_TIMEOUT):
+            batch.abort = True
         if (
             persist
             and self.db is not None
@@ -501,69 +512,23 @@ class CampaignEngine:
             )
             if payload is not None:
                 self._c_cache_stores.incr()
-        manifest[record.name] = record
+        batch.manifest[record.name] = record
         if self.manifest_path is not None:
-            _write_manifest(self.manifest_path, manifest)
-        if on_record is not None:
-            on_record(record)
+            write_manifest(self.manifest_path, batch.manifest)
+        if batch.on_record is not None:
+            batch.on_record(record)
 
-    # -- serial path -------------------------------------------------------
+    def _land_unrun(self, batch: _Batch, state: _TaskState, *,
+                    error: str, cancelled: bool) -> None:
+        """Land a task that will not run (again) as a ``skipped`` record."""
+        if cancelled:
+            self._c_cancelled.incr()
+        record = TaskRecord(name=state.task.name, status=STATUS_SKIPPED,
+                            error=error)
+        self._land(batch, record, persist=False, task=state.task)
+        state.span.end("cancelled" if cancelled else STATUS_SKIPPED)
 
-    def _run_serial(
-        self,
-        tasks: list[CampaignTask],
-        results: dict[str, TaskRecord],
-        manifest: dict[str, TaskRecord],
-        on_record: Callable[[TaskRecord], None] | None,
-    ) -> None:
-        # Delegate per-task execution to the serial runner so timeout,
-        # retry, backoff, and reseed semantics stay bit-compatible.
-        runner = ExperimentRunner(
-            timeout=self.timeout,
-            retries=self.retries,
-            backoff=self.backoff,
-            reseed_base=self.reseed_base,
-        )
-        abort = False
-        batch_queued_at = time.time()
-        for task in tasks:
-            if self._stop_requested:
-                record = self._cancel_record(task.name, "drain requested")
-            elif abort:
-                record = TaskRecord(
-                    name=task.name,
-                    status=STATUS_SKIPPED,
-                    error="skipped (fail-fast)",
-                )
-            else:
-                task_span = obs.start_span(
-                    "campaign.task", kind="campaign.task",
-                    attrs={"task": task.name},
-                )
-                with task_span:
-                    record = runner._run_one(
-                        TaskSpec(
-                            name=task.name,
-                            fn=task.fn,
-                            kwargs=task.kwargs,
-                            timeout=task.timeout,
-                            retries=task.retries,
-                        ),
-                        queued_at=batch_queued_at,
-                    )
-                    task_span.outcome = record.status
-                    task_span.set_many(
-                        {"attempts": record.attempts,
-                         "queue_wait_s": round(record.queue_wait, 6)}
-                    )
-            results[task.name] = record
-            self._land(record, manifest, on_record,
-                       persist=record.status != STATUS_SKIPPED, task=task)
-            if self.fail_fast and record.status in (STATUS_FAILED,
-                                                    STATUS_TIMEOUT):
-                abort = True
-
-    # -- parallel path -----------------------------------------------------
+    # -- the scheduler loop ------------------------------------------------
 
     @staticmethod
     def _mp_context():
@@ -572,31 +537,14 @@ class CampaignEngine:
             "fork" if "fork" in methods else "spawn"
         )
 
-    def _run_parallel(
-        self,
-        tasks: list[CampaignTask],
-        results: dict[str, TaskRecord],
-        manifest: dict[str, TaskRecord],
-        on_record: Callable[[TaskRecord], None] | None,
-    ) -> None:
-        ctx = self._mp_context()
-        tracing = obs.active() is not None
-        pending: list[_TaskState] = []
-        for task in tasks:
-            timeout, retries = self._effective(task)
-            state = _TaskState(task, timeout=timeout, retries=retries)
-            if tracing:
-                state.span = obs.start_span(
-                    "campaign.task", kind="campaign.task",
-                    attrs={"task": task.name,
-                           "config_hash": task.config_hash[:12]},
-                )
-            pending.append(state)
-        workers: list[_Worker] = []
-        abort = False
+    def _execute(self, batch: _Batch) -> None:
+        """Run ``batch.pending`` to terminal records (see module doc)."""
+        in_process = self.timeout is None and self.jobs == 1
+        ctx = None if in_process else self._mp_context()
         # The coordinator owns worker processes, so Ctrl-C / SIGTERM must
         # reap them and flush landed records instead of dying mid-batch
-        # and leaking orphans.  The handler only flips flags; the loop
+        # and leaking orphans.  The handler only flips flags — or, during
+        # an in-process attempt, interrupts the task itself; the loop
         # below does the cleanup, then KeyboardInterrupt is re-raised so
         # callers see the usual interrupt exit.  Handlers can only be
         # installed on the main thread; engines running inside service
@@ -606,6 +554,8 @@ class CampaignEngine:
             def _on_signal(signum: int, frame: Any) -> None:  # noqa: ARG001
                 self._interrupted = True
                 self._stop_requested = True
+                if self._in_attempt:
+                    raise KeyboardInterrupt
 
             for signum in (signal.SIGINT, signal.SIGTERM):
                 try:
@@ -613,78 +563,42 @@ class CampaignEngine:
                 except (ValueError, OSError):  # pragma: no cover
                     pass
         try:
-            while pending or any(w.busy for w in workers):
+            while batch.pending or any(w.busy for w in batch.workers):
                 now = time.monotonic()
-                self._watchdog_pass(workers, pending, now)
+                self._watchdog_pass(batch, now)
                 if self._stop_requested:
                     why = ("interrupted" if self._interrupted
                            else "drain requested")
-                    for state in pending:
-                        record = self._cancel_record(state.task.name, why)
-                        results[state.task.name] = record
-                        self._land(record, manifest, on_record,
-                                   persist=False, task=state.task)
-                        state.span.end("cancelled")
-                    pending.clear()
+                    for state in batch.pending:
+                        self._land_unrun(batch, state,
+                                         error=f"cancelled ({why})",
+                                         cancelled=True)
+                    batch.pending.clear()
                     if self._interrupted:
                         # Interrupt also abandons in-flight work: kill
                         # the workers and land cancelled records so the
                         # manifest reflects exactly what completed.
-                        for worker in list(workers):
+                        for worker in list(batch.workers):
                             state, worker.state = worker.state, None
                             if state is not None:
-                                record = self._cancel_record(
-                                    state.task.name, why
-                                )
-                                results[state.task.name] = record
-                                self._land(record, manifest, on_record,
-                                           persist=False, task=state.task)
-                                state.span.end("cancelled")
+                                self._land_unrun(batch, state,
+                                                 error=f"cancelled ({why})",
+                                                 cancelled=True)
                             worker.kill()
-                            workers.remove(worker)
+                            batch.workers.remove(worker)
                         break
-                if abort and pending:
+                if batch.abort and batch.pending:
                     # Fail-fast: nothing new is scheduled; in-flight
                     # tasks finish, the rest become skipped records.
-                    for state in pending:
-                        record = TaskRecord(
-                            name=state.task.name,
-                            status=STATUS_SKIPPED,
-                            error="skipped (fail-fast)",
-                        )
-                        results[state.task.name] = record
-                        self._land(record, manifest, on_record,
-                                   persist=False, task=state.task)
-                        state.span.end(STATUS_SKIPPED)
-                    pending.clear()
-                self._assign(ctx, workers, pending, results, manifest,
-                             on_record, now)
-                busy_conns = [w.conn for w in workers if w.busy]
-                if busy_conns:
-                    try:
-                        ready = mp_connection.wait(busy_conns, timeout=_TICK)
-                    except OSError:
-                        ready = []
-                else:
-                    if pending:
-                        time.sleep(_TICK)
-                    ready = []
-                for conn in ready:
-                    worker = next(
-                        (w for w in workers if w.conn is conn), None
-                    )
-                    if worker is None:
-                        continue
-                    done = self._collect(worker, pending, results, manifest,
-                                         on_record)
-                    if (
-                        done is not None
-                        and self.fail_fast
-                        and done.status in (STATUS_FAILED, STATUS_TIMEOUT)
-                    ):
-                        abort = True
+                    for state in batch.pending:
+                        self._land_unrun(batch, state,
+                                         error="skipped (fail-fast)",
+                                         cancelled=False)
+                    batch.pending.clear()
+                self._assign(ctx, batch, now)
+                self._wait(batch)
         finally:
-            for worker in workers:
+            for worker in batch.workers:
                 if worker.busy or worker.proc.is_alive():
                     worker.stop()
             for signum, previous in installed:
@@ -697,14 +611,34 @@ class CampaignEngine:
             # surface the interrupt the way callers expect.
             raise KeyboardInterrupt
 
-    def _watchdog_pass(
-        self, workers: list[_Worker], pending: list[_TaskState], now: float
-    ) -> None:
+    def _wait(self, batch: _Batch) -> None:
+        """Block for worker results, or until the next retry is due."""
+        busy_conns = [w.conn for w in batch.workers if w.busy]
+        if busy_conns:
+            try:
+                ready = mp_connection.wait(busy_conns, timeout=_TICK)
+            except OSError:
+                ready = []
+            for conn in ready:
+                worker = next(
+                    (w for w in batch.workers if w.conn is conn), None
+                )
+                if worker is not None:
+                    self._collect(batch, worker)
+        elif batch.pending:
+            # Nothing in flight: sleep only while every pending task is
+            # still backing off (an in-process campaign never polls).
+            delay = (min(state.eligible_at for state in batch.pending)
+                     - time.monotonic())
+            if delay > 0:
+                time.sleep(min(delay, _TICK))
+
+    def _watchdog_pass(self, batch: _Batch, now: float) -> None:
         """Reap dead or hung workers; requeue or finalize their tasks."""
-        for worker in list(workers):
+        for worker in list(batch.workers):
             if not worker.busy:
                 if not worker.proc.is_alive():
-                    workers.remove(worker)
+                    batch.workers.remove(worker)
                 continue
             dead = not worker.proc.is_alive()
             hung = (time.time() - worker.beat.value) > self.heartbeat_timeout
@@ -747,121 +681,139 @@ class CampaignEngine:
                            "error": state.last_error},
                 ).end(state.last_status)
             worker.kill()
-            workers.remove(worker)
+            batch.workers.remove(worker)
             state.eligible_at = now + self._retry_delay(state.attempts)
-            pending.append(state)
+            batch.pending.append(state)
 
-    def _assign(
-        self,
-        ctx,
-        workers: list[_Worker],
-        pending: list[_TaskState],
-        results: dict[str, TaskRecord],
-        manifest: dict[str, TaskRecord],
-        on_record: Callable[[TaskRecord], None] | None,
-        now: float,
-    ) -> None:
-        """Hand eligible tasks to idle workers, spawning up to ``jobs``."""
-        if self._stop_requested:
-            return  # draining: nothing new reaches a worker
-        for state in list(pending):
-            # Retries exhausted -> terminal failed/timeout record.
-            if state.attempts > state.retries:
-                pending.remove(state)
-                record = self._finalize_state(state)
-                results[state.task.name] = record
-                self._land(record, manifest, on_record,
-                           persist=True, task=state.task)
+    def _assign(self, ctx, batch: _Batch, now: float) -> None:
+        """Start eligible attempts: in-process (one, then back to the
+        loop) or on idle workers, spawning up to ``jobs``."""
+        for state in list(batch.pending):
+            if self._stop_requested or batch.abort:
+                return  # draining / fail-fast: nothing new starts
+            if state.attempts > self.retries:
+                # A reaped worker used the task's last attempt.
+                batch.pending.remove(state)
+                self._land(batch, self._finalize_state(state), persist=True,
+                           task=state.task)
                 continue
             if state.eligible_at > now:
                 continue
-            worker = next(
-                (w for w in workers if not w.busy and w.proc.is_alive()), None
-            )
-            if worker is None:
-                if len(workers) < self.jobs:
+            worker = None
+            if ctx is not None:
+                worker = next(
+                    (w for w in batch.workers
+                     if not w.busy and w.proc.is_alive()), None
+                )
+                if worker is None:
+                    if len(batch.workers) >= self.jobs:
+                        return  # every slot busy; wait for a completion
                     worker = _Worker(ctx)
                     self._c_spawned.incr()
-                    workers.append(worker)
-                else:
-                    break  # every slot busy; wait for a completion
-            pending.remove(state)
-            if state.started is None:
-                state.started = now
-            if state.started_wall is None:
-                # First assignment ends the queue-wait phase.
-                state.started_wall = time.time()
-                if state.span is not obs.NULL_SPAN:
-                    obs.start_span(
-                        "task.queue", kind="task.queue", parent=state.span,
-                        start_at=state.queued_wall,
-                        attrs={"task": state.task.name},
-                    ).end(STATUS_OK, at=state.started_wall)
-            kwargs = state.attempt_kwargs(self.reseed_base)
-            state.attempts += 1
+                    batch.workers.append(worker)
+            batch.pending.remove(state)
+            kwargs = self._begin_attempt(state, now)
+            if worker is None:
+                # In-process: return after each attempt so the loop
+                # re-checks drain and fail-fast before the next task.
+                self._run_in_process(batch, state, kwargs)
+                return
             span_ctx = None
             if state.span is not obs.NULL_SPAN:
                 span_ctx = dict(state.span.context.to_dict(),
                                 attempt=state.attempts)
-            message = (state.task.name, state.task.fn, kwargs, state.timeout,
+            message = (state.task.name, state.task.fn, kwargs, self.timeout,
                        span_ctx)
             try:
                 worker.conn.send(message)
             except (pickle.PicklingError, AttributeError, TypeError):
                 # Unpicklable task (lambda/closure): degrade gracefully
-                # by running it inline in the coordinator.
+                # by running it in the coordinator.
                 self._c_inline.incr()
-                attempt_span = obs.start_span(
-                    "task.attempt", kind="task.attempt",
-                    parent=state.span if span_ctx is not None else None,
-                    attrs={"task": state.task.name,
-                           "attempt": state.attempts,
-                           "pid": os.getpid(), "inline": True},
-                )
-                with attempt_span:
-                    raw = execute_task(
-                        state.task.name, state.task.fn, kwargs, state.timeout
-                    )
-                    attempt_span.outcome = raw["status"]
-                self._absorb_attempt(state, raw, pending, results, manifest,
-                                     on_record)
-                continue
+                self._run_in_process(batch, state, kwargs)
+                return
             except (OSError, ValueError, BrokenPipeError):
                 # The worker died between the liveness check and the
                 # send: undo the attempt, requeue, and reap the corpse.
                 state.attempts -= 1
-                pending.append(state)
+                batch.pending.append(state)
                 worker.kill()
-                workers.remove(worker)
+                batch.workers.remove(worker)
                 continue
             worker.state = state
             worker.assigned_wall = time.time()
             worker.deadline = (
-                now + state.timeout * _DEADLINE_SLACK + _DEADLINE_GRACE
-                if state.timeout is not None and state.timeout > 0 else None
+                now + self.timeout * _DEADLINE_SLACK + _DEADLINE_GRACE
+                if self.timeout is not None else None
             )
 
-    def _collect(
-        self,
-        worker: _Worker,
-        pending: list[_TaskState],
-        results: dict[str, TaskRecord],
-        manifest: dict[str, TaskRecord],
-        on_record: Callable[[TaskRecord], None] | None,
-    ) -> TaskRecord | None:
-        """Receive one worker result; returns the record if terminal."""
+    def _begin_attempt(self, state: _TaskState, now: float) -> dict[str, Any]:
+        """Stamp the attempt's start and return its (reseeded) kwargs."""
+        if state.started is None:
+            state.started = now
+        if state.started_wall is None:
+            # First attempt ends the queue-wait phase.
+            state.started_wall = time.time()
+            if state.span is not obs.NULL_SPAN:
+                obs.start_span(
+                    "task.queue", kind="task.queue", parent=state.span,
+                    start_at=state.queued_wall,
+                    attrs={"task": state.task.name},
+                ).end(STATUS_OK, at=state.started_wall)
+        kwargs = state.attempt_kwargs(self.reseed_base)
+        state.attempts += 1
+        return kwargs
+
+    def _run_in_process(self, batch: _Batch, state: _TaskState,
+                        kwargs: dict[str, Any]) -> None:
+        """Run one attempt in the coordinator and absorb its outcome."""
+        if self.timeout is not None and not alarm_available():
+            # Retrying cannot help: land it now, without starting a thread.
+            state.last_status = STATUS_FAILED
+            state.last_error = _UNENFORCEABLE
+            state.last_detail = ""
+            self._land(batch, self._finalize_state(state), persist=True,
+                       task=state.task)
+            return
+        attempt_span = obs.start_span(
+            "task.attempt", kind="task.attempt", parent=state.span,
+            attrs={"task": state.task.name, "attempt": state.attempts,
+                   "pid": os.getpid(), "inline": True},
+        )
+        if state.seed is not None:
+            attempt_span.set("seed", state.seed)
+        try:
+            self._in_attempt = True
+            try:
+                with attempt_span:
+                    raw = execute_task(state.task.name, state.task.fn,
+                                       kwargs, self.timeout)
+                    attempt_span.outcome = raw["status"]
+            finally:
+                self._in_attempt = False
+        except KeyboardInterrupt:
+            # Ctrl-C interrupted the task itself: the loop cancels the
+            # rest and re-raises once everything has landed.
+            self._interrupted = self._stop_requested = True
+            self._land_unrun(batch, state, error="cancelled (interrupted)",
+                             cancelled=True)
+            return
+        self._absorb_attempt(batch, state, raw)
+
+    def _collect(self, batch: _Batch, worker: _Worker) -> None:
+        """Receive one worker result and absorb it."""
         state = worker.state
         try:
             raw = worker.conn.recv()
         except (EOFError, OSError):
             # Worker died with the result half-sent; treat as a crash.
             # The watchdog pass will reap the process itself.
-            return None
+            return
         worker.state = None
         worker.deadline = None
         worker.assigned_wall = None
         if state is None:
-            return None
+            return
         worker_spans = raw.pop("spans", None)
         if worker_spans:
             recorder = obs.active()
@@ -878,42 +830,24 @@ class CampaignEngine:
                     raw["error"] = (
                         f"result not decodable: {type(error).__name__}"
                     )
-        else:
-            raw.setdefault("result", None)
-        return self._absorb_attempt(state, raw, pending, results, manifest,
-                                    on_record)
+        self._absorb_attempt(batch, state, raw)
 
-    def _absorb_attempt(
-        self,
-        state: _TaskState,
-        raw: dict[str, Any],
-        pending: list[_TaskState],
-        results: dict[str, TaskRecord],
-        manifest: dict[str, TaskRecord],
-        on_record: Callable[[TaskRecord], None] | None,
-    ) -> TaskRecord | None:
+    def _absorb_attempt(self, batch: _Batch, state: _TaskState,
+                        raw: dict[str, Any]) -> None:
         """Fold one attempt outcome into the task state; finalize if done."""
         state.last_status = raw["status"]
         state.last_error = raw.get("error", "")
         state.last_detail = raw.get("detail", "")
-        if raw["status"] == STATUS_OK:
-            record = self._finalize_state(state, result=raw.get("result"))
-            results[state.task.name] = record
-            self._land(record, manifest, on_record,
-                       persist=True, task=state.task)
-            return record
-        if state.attempts > state.retries or self._stop_requested:
-            # Retries exhausted — or a drain is in progress, in which
-            # case the task keeps its last real outcome instead of
+        if (raw["status"] == STATUS_OK or state.attempts > self.retries
+                or self._stop_requested):
+            # Success, retries exhausted — or a drain is in progress, in
+            # which case the task keeps its last real outcome instead of
             # burning retry budget the shutdown will cancel anyway.
-            record = self._finalize_state(state)
-            results[state.task.name] = record
-            self._land(record, manifest, on_record,
-                       persist=True, task=state.task)
-            return record
+            record = self._finalize_state(state, result=raw.get("result"))
+            self._land(batch, record, persist=True, task=state.task)
+            return
         state.eligible_at = time.monotonic() + self._retry_delay(state.attempts)
-        pending.append(state)
-        return None
+        batch.pending.append(state)
 
     def _finalize_state(
         self, state: _TaskState, *, result: Any = None

@@ -3,13 +3,13 @@
 Each worker is one OS process running :func:`worker_main`: it receives
 ``(name, fn, kwargs, timeout, span_ctx)`` messages over its pipe (the
 fifth element carries the parent span identity when fleet tracing is on
-— see :mod:`repro.obs` — or ``None``), executes them
-with the runner's SIGALRM-backed timeout (workers run tasks on their
-main thread, so the alarm path — which interrupts even tight
-pure-Python loops — is always available), and sends a structured result
-record back.  A daemon heartbeat thread stamps a shared timestamp a few
-times per second; the coordinator's watchdog treats a stale stamp or a
-dead process as a crashed worker and retries the task elsewhere.
+— see :mod:`repro.obs` — or ``None``), executes them under a
+SIGALRM-backed timeout (workers run tasks on their main thread, so the
+alarm — which interrupts even tight pure-Python loops — is always
+available), and sends a structured result record back.  A daemon
+heartbeat thread stamps a shared timestamp a few times per second; the
+coordinator's watchdog treats a stale stamp or a dead process as a
+crashed worker and retries the task elsewhere.
 
 Results are pre-pickled inside the worker so an unpicklable result
 object degrades to a structured note instead of corrupting the pipe.
@@ -26,20 +26,15 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import threading
 import time
 import traceback
 from multiprocessing.connection import Connection
-from typing import Any
+from typing import Any, Callable
 
 from repro import obs
-from repro.runner.core import (
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_TIMEOUT,
-    TaskTimeout,
-    _call_with_timeout,
-)
+from repro.campaign.records import STATUS_FAILED, STATUS_OK, STATUS_TIMEOUT
 
 #: Seconds between heartbeat stamps.
 HEARTBEAT_INTERVAL = 0.2
@@ -64,6 +59,41 @@ def maybe_test_crash(task_name: str) -> None:
     os._exit(TEST_CRASH_EXIT)
 
 
+class TaskTimeout(Exception):
+    """A task exceeded its wall-clock budget."""
+
+
+def alarm_available() -> bool:
+    """Can :func:`_call_with_timeout` interrupt a task on this thread?"""
+    return (hasattr(signal, "SIGALRM")
+            and threading.current_thread() is threading.main_thread())
+
+
+def _call_with_timeout(
+    fn: Callable[..., Any], kwargs: dict[str, Any], timeout: float | None
+) -> Any:
+    """Run ``fn(**kwargs)``, raising :class:`TaskTimeout` on expiry.
+
+    The budget is enforced with SIGALRM, so callers must be on the main
+    thread (see :func:`alarm_available`).  Where SIGALRM does not exist
+    the call runs unbounded and the coordinator's watchdog deadline is
+    the only stop.
+    """
+    if timeout is None or not hasattr(signal, "SIGALRM"):
+        return fn(**kwargs)
+
+    def _on_alarm(signum, frame):  # noqa: ARG001 - signal signature
+        raise TaskTimeout(f"timed out after {timeout:g}s")
+
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, timeout)
+    try:
+        return fn(**kwargs)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _heartbeat_loop(beat, stop: threading.Event) -> None:
     while not stop.is_set():
         beat.value = time.time()
@@ -75,8 +105,8 @@ def execute_task(
 ) -> dict[str, Any]:
     """Run one task attempt and summarise it as a plain record dict.
 
-    Shared by the worker loop and the coordinator's inline fallback so
-    both paths classify outcomes (ok / timeout / failed) identically.
+    Shared by the worker loop and the coordinator's in-process attempts
+    so both classify outcomes (ok / timeout / failed) identically.
     """
     record: dict[str, Any] = {
         "name": name,

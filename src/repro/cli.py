@@ -248,7 +248,8 @@ def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
     """The campaign-engine flags shared by figures/faults/leakcheck/bench."""
     parser.add_argument(
         "--jobs", type=_jobs_count, default=1, metavar="N",
-        help="worker processes (0 = one per CPU core; default 1 = serial)",
+        help="worker processes (0 = one per CPU core; default 1 = serial: "
+        "in-process, or one killable worker when --timeout is set)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -1314,8 +1315,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--jobs", type=_jobs_count, default=1, metavar="N",
-        help="campaign worker processes per job "
-        "(0 = one per CPU core; default 1 = in-thread)",
+        help="campaign worker processes per job (0 = one per CPU core; "
+        "default 1 = in-thread, or one killable worker when --timeout is set)",
     )
     serve.add_argument(
         "--timeout", type=_timeout_seconds, default=None, metavar="S",

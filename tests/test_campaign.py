@@ -10,6 +10,7 @@ import json
 import os
 import pathlib
 import signal
+import threading
 import time
 
 import pytest
@@ -22,12 +23,11 @@ from repro.campaign import (
     TEST_CRASH_ENV,
     config_hash,
     decode_payload,
-    derive_task_seed,
     encode_payload,
+    load_manifest,
 )
 from repro.campaign import engine as engine_mod
 from repro.campaign.engine import _fn_resolvable
-from repro.runner import load_manifest
 
 
 # -- module-level task functions (picklable across the worker pipe) -------
@@ -69,6 +69,26 @@ def ignore_alarm_and_sleep():
 
 def return_unpicklable():
     return lambda: None
+
+
+def spin(seconds):
+    # Busy loop: holds the interpreter the way a hung simulation does.
+    end = time.monotonic() + seconds
+    while time.monotonic() < end:
+        pass
+    return "finished"
+
+
+def _off_main_thread(fn):
+    """Run ``fn`` on a fresh thread; return its result and new threads."""
+    before = set(threading.enumerate())
+    box = {}
+    thread = threading.Thread(target=lambda: box.update(value=fn()))
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive()
+    survivors = [t for t in threading.enumerate() if t not in before]
+    return box["value"], survivors
 
 
 # -- payload codec --------------------------------------------------------
@@ -119,7 +139,7 @@ class TestPayloadCodec:
             decode_payload(hostile)
 
 
-# -- config hashing and seed derivation -----------------------------------
+# -- config hashing --------------------------------------------------------
 
 
 class TestConfigHash:
@@ -136,11 +156,6 @@ class TestConfigHash:
     def test_kwarg_order_does_not_matter(self):
         assert (config_hash("t", compute, {"x": 1, "seed": 2})
                 == config_hash("t", compute, {"seed": 2, "x": 1}))
-
-    def test_derive_task_seed_is_deterministic_and_distinct(self):
-        assert derive_task_seed(7, "a", 0) == derive_task_seed(7, "a", 0)
-        assert derive_task_seed(7, "a", 0) != derive_task_seed(7, "a", 1)
-        assert derive_task_seed(7, "a", 0) != derive_task_seed(7, "b", 0)
 
     def test_fn_resolvable_rejects_closures_and_lambdas(self):
         assert _fn_resolvable(compute)
@@ -203,6 +218,32 @@ class TestEngineDeterminism:
         for left, right in zip(serial.records, parallel.records):
             assert left.ok and right.ok
             assert encode_payload(left.result) == encode_payload(right.result)
+
+    @pytest.mark.parametrize("case", ["raises", "timeout", "flaky"])
+    def test_serial_and_parallel_agree_under_faults(self, case, tmp_path):
+        def outcome(jobs):
+            engine_kwargs = {"retries": 1, "backoff": 0.01}
+            if case == "raises":
+                task = CampaignTask(name=case, fn=always_crash_exception)
+            elif case == "timeout":
+                engine_kwargs["timeout"] = 0.3
+                task = CampaignTask(name=case, fn=spin,
+                                    kwargs={"seconds": 30.0})
+            else:
+                engine_kwargs["reseed_base"] = 500
+                marker = tmp_path / f"flaky-{jobs}.marker"
+                task = CampaignTask(name=case, fn=fail_once_then_succeed,
+                                    kwargs={"marker": str(marker)})
+            record = CampaignEngine(jobs=jobs, **engine_kwargs).run(
+                [task]).records[0]
+            payload = encode_payload(record.result) if record.ok else None
+            return record.status, record.attempts, record.seed, payload
+
+        serial, parallel = outcome(1), outcome(4)
+        assert serial == parallel
+        expected = {"raises": ("failed", 2, None), "timeout": ("timeout", 2, None),
+                    "flaky": ("ok", 2, 501)}[case]
+        assert serial[:3] == expected
 
     def test_warm_db_serves_everything_without_executing(self, tmp_path):
         db_path = tmp_path / "c.sqlite"
@@ -302,8 +343,8 @@ class TestCrashIsolation:
         assert report.record("fine").ok  # the batch is never lost wholesale
 
     def test_stalled_heartbeat_is_killed_by_the_watchdog(self):
-        # jobs >= 2 forces the worker-process path; the serial path runs
-        # in-process and offers no crash isolation by design.
+        # jobs >= 2 forces the worker-process path; without a timeout the
+        # serial path runs in-process and offers no crash isolation.
         engine = CampaignEngine(jobs=2, retries=0, backoff=0.0,
                                 heartbeat_timeout=0.5)
         report = engine.run([CampaignTask(name="wedged", fn=stop_self)])
@@ -321,6 +362,17 @@ class TestCrashIsolation:
         )
         assert report.records[0].status == "timeout"
 
+    def test_serial_deadline_backstop_kills_the_worker(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "_DEADLINE_SLACK", 1.0)
+        monkeypatch.setattr(engine_mod, "_DEADLINE_GRACE", 0.5)
+        engine = CampaignEngine(jobs=1, retries=0, timeout=0.2)
+        report = engine.run(
+            [CampaignTask(name="stuck", fn=ignore_alarm_and_sleep)]
+        )
+        assert report.records[0].status == "timeout"
+        assert "watchdog" in report.records[0].error
+        assert engine.registry.snapshot()["workers.hung"] == 1
+
     def test_retry_reseeds_shard_independently(self, tmp_path):
         marker = tmp_path / "flaky.marker"
         engine = CampaignEngine(jobs=2, retries=2, backoff=0.01,
@@ -333,6 +385,49 @@ class TestCrashIsolation:
         assert record.ok and record.attempts == 2
         assert record.result == {"seed": 501}  # reseed_base + attempt index
         assert record.seed == 501
+
+
+# -- engine: where attempts run -------------------------------------------
+
+
+class TestExecutionPlacement:
+    def test_no_timeout_serial_runs_in_process_without_polling(
+        self, monkeypatch
+    ):
+        sleeps = []
+        monkeypatch.setattr(engine_mod.time, "sleep", sleeps.append)
+        engine = CampaignEngine(jobs=1)
+        assert engine.run(_tasks([2, 3, 4])).status == "pass"
+        assert engine.registry.snapshot()["workers.spawned"] == 0
+        assert sleeps == []
+
+    def test_serial_timeout_off_main_thread_leaves_no_thread(self):
+        def run():
+            engine = CampaignEngine(jobs=1, timeout=0.3)
+            record = engine.run(
+                [CampaignTask(name="spin", fn=spin, kwargs={"seconds": 3.0})]
+            ).records[0]
+            return record, engine.registry.snapshot()["workers.spawned"]
+
+        (record, spawned), survivors = _off_main_thread(run)
+        assert record.status == "timeout"
+        assert spawned == 1  # one killable worker, not a thread
+        assert survivors == []
+
+    def test_unenforceable_timeout_fails_without_starting_the_task(self):
+        started = []
+
+        def run():
+            engine = CampaignEngine(jobs=1, timeout=0.3, retries=2)
+            return engine.run([
+                CampaignTask(name="closure",
+                             fn=lambda: started.append(1) or spin(3.0)),
+            ]).records[0]
+
+        record, survivors = _off_main_thread(run)
+        assert record.status == "failed" and record.attempts == 1
+        assert "cannot be enforced" in record.error
+        assert started == [] and survivors == []
 
 
 # -- engine: degradations and plumbing ------------------------------------
@@ -604,7 +699,7 @@ def slow(i):
     time.sleep(30)
     return i
 
-engine = CampaignEngine(jobs=2, db=sys.argv[1])
+engine = CampaignEngine(jobs=int(sys.argv[2]), db=sys.argv[1])
 tasks = [CampaignTask(name=f"slow_{i}", fn=slow, kwargs={"i": i})
          for i in range(4)]
 print("campaign-start", flush=True)
@@ -618,38 +713,49 @@ sys.exit(0)
 """
 
 
+def _interrupt_campaign(tmp_path, jobs):
+    """Ctrl-C a ``jobs``-wide campaign script; assert a clean 130 exit."""
+    import subprocess
+    import sys as _sys
+
+    script = tmp_path / "campaign_sigint.py"
+    script.write_text(_SIGINT_SCRIPT)
+    db_path = tmp_path / "c.sqlite"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(
+        pathlib.Path(engine_mod.__file__).resolve().parents[2]
+    )
+    proc = subprocess.Popen(
+        [_sys.executable, str(script), str(db_path), str(jobs)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=env,
+    )
+    try:
+        assert "campaign-start" in proc.stdout.readline()
+        time.sleep(1.0)  # let the workers spawn and pick up tasks
+        proc.send_signal(signal.SIGINT)
+        # Well inside the 30 s task: the interrupt must not wait for it.
+        assert proc.wait(timeout=20) == 130
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+    output = proc.stdout.read()
+    assert "orphans=0" in output
+    assert "not-interrupted" not in output
+    # The DB survived the interrupt: intact schema, no cancelled rows
+    # persisted as runs.
+    with CampaignDB(db_path) as db:
+        assert db.counts().get("ok", 0) == len(db)
+
+
 @pytest.mark.slow
 class TestCoordinatorSignals:
     def test_sigint_reaps_workers_and_exits_130(self, tmp_path):
         """Ctrl-C on a parallel campaign must kill the workers, flush the
         DB, and re-raise — not leak orphan processes or corrupt sqlite."""
-        import subprocess
-        import sys as _sys
+        _interrupt_campaign(tmp_path, jobs=2)
 
-        script = tmp_path / "campaign_sigint.py"
-        script.write_text(_SIGINT_SCRIPT)
-        db_path = tmp_path / "c.sqlite"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(
-            pathlib.Path(engine_mod.__file__).resolve().parents[2]
-        )
-        proc = subprocess.Popen(
-            [_sys.executable, str(script), str(db_path)],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-            env=env,
-        )
-        try:
-            assert "campaign-start" in proc.stdout.readline()
-            time.sleep(1.0)  # let the workers spawn and pick up tasks
-            proc.send_signal(signal.SIGINT)
-            assert proc.wait(timeout=60) == 130
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-        output = proc.stdout.read()
-        assert "orphans=0" in output
-        assert "not-interrupted" not in output
-        # The DB survived the interrupt: intact schema, no cancelled rows
-        # persisted as runs.
-        with CampaignDB(db_path) as db:
-            assert db.counts().get("ok", 0) == len(db)
+    def test_sigint_interrupts_a_serial_campaign_and_exits_130(self, tmp_path):
+        """Ctrl-C on an in-process campaign interrupts the running task
+        at once and exits the same way."""
+        _interrupt_campaign(tmp_path, jobs=1)

@@ -77,7 +77,7 @@ class TestHardenedFigureRuns:
         self, capsys, tmp_path, monkeypatch
     ):
         from repro.analysis import figures as figures_mod
-        from repro.runner import load_manifest
+        from repro.campaign import load_manifest
 
         monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig6", _fake_figure())
         monkeypatch.setitem(
@@ -141,7 +141,7 @@ class TestHardenedFigureRuns:
         import time
 
         from repro.analysis import figures as figures_mod
-        from repro.runner import load_manifest
+        from repro.campaign import load_manifest
 
         monkeypatch.setitem(
             figures_mod.ALL_FIGURES, "fig6", lambda **_kw: time.sleep(3)

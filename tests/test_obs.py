@@ -33,7 +33,7 @@ from repro.obs import (
     summarize,
     validate_spans,
 )
-from repro.runner.core import TaskRecord
+from repro.campaign import TaskRecord
 from repro.service import DONE, QUEUED, TERMINAL_STATES, LeakcheckService, http_request
 
 

@@ -1,19 +1,31 @@
-"""Tests for the hardened experiment runner."""
+"""Serial campaigns: ``CampaignEngine(jobs=1)`` as the figure batch runner.
 
-import threading
+Timeouts, retries with reseeding, crash isolation, batch reporting and
+the JSON manifest checkpoint/resume, exercised through the same engine
+every ``repro figures`` run uses.  Closures are fine here: without a
+timeout a serial campaign runs its tasks in-process.
+"""
+
 import time
 
 import pytest
 
-from repro.runner import (
+from repro.campaign import (
     BatchReport,
-    ExperimentRunner,
+    CampaignEngine,
+    CampaignTask,
     TaskRecord,
-    TaskSpec,
     TaskTimeout,
     load_manifest,
 )
-from repro.runner.core import _accepts_seed, _call_with_timeout
+from repro.campaign.records import _accepts_seed
+from repro.campaign.worker import _call_with_timeout
+
+
+def _run(tasks, **engine_kwargs):
+    return CampaignEngine(jobs=1, **engine_kwargs).run(
+        [CampaignTask(name=name, fn=fn) for name, fn in tasks]
+    )
 
 
 class TestTimeouts:
@@ -31,63 +43,18 @@ class TestTimeouts:
         with pytest.raises(KeyError):
             _call_with_timeout(lambda: {}["missing"], {}, timeout=5.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_thread_fallback_when_not_main_thread(self):
-        # Off the main thread SIGALRM is unavailable; the worker-thread
-        # fallback must still enforce the budget.
-        box = {}
-
-        def off_main():
-            runner = ExperimentRunner(timeout=0.05)
-            box["report"] = runner.run(
-                [TaskSpec("slow", lambda: time.sleep(2))]
-            )
-
-        worker = threading.Thread(target=off_main)
-        worker.start()
-        worker.join(10)
-        assert box["report"].records[0].status == "timeout"
-
-    def test_thread_fallback_records_the_leaked_thread(self, recwarn):
-        # The abandoned worker cannot be killed: the record must say so
-        # and the runner must warn (once), since the leaked thread may
-        # keep mutating shared state.
-        box = {}
-
-        def off_main():
-            runner = ExperimentRunner(timeout=0.05)
-            box["report"] = runner.run([
-                TaskSpec("slow1", lambda: time.sleep(1.0)),
-                TaskSpec("slow2", lambda: time.sleep(1.0)),
-            ])
-
-        worker = threading.Thread(target=off_main)
-        worker.start()
-        worker.join(10)
-        records = box["report"].records
-        assert all(r.status == "timeout" for r in records)
-        for record in records:
-            assert "abandoned daemon worker thread" in record.detail
-            assert "runner-task-" in record.detail
-        leak_warnings = [
-            w for w in recwarn.list
-            if issubclass(w.category, RuntimeWarning)
-            and "thread-fallback" in str(w.message)
-        ]
-        assert len(leak_warnings) == 1  # once per runner, not per task
-
     def test_sigalrm_timeout_leaks_nothing(self):
-        runner = ExperimentRunner(timeout=0.05)
-        report = runner.run([TaskSpec("slow", lambda: time.sleep(1.0))])
+        # An unpicklable task on the main thread runs in-process under
+        # SIGALRM: the alarm interrupts it and nothing is left running.
+        report = _run([("slow", lambda: time.sleep(1.0))], timeout=0.05)
         record = report.records[0]
         assert record.status == "timeout"
-        assert record.detail == ""  # main thread: alarm path, no leak
+        assert record.detail == ""
 
 
 class TestRetries:
     def test_eventual_success_with_backoff(self):
         attempts = []
-        sleeps = []
 
         def flaky():
             attempts.append(1)
@@ -95,16 +62,15 @@ class TestRetries:
                 raise RuntimeError("transient")
             return "ok"
 
-        runner = ExperimentRunner(retries=3, backoff=0.5, sleep=sleeps.append)
-        report = runner.run([TaskSpec("flaky", flaky)])
-        record = report.records[0]
+        engine = CampaignEngine(jobs=1, retries=3, backoff=0.01)
+        record = engine.run([CampaignTask(name="flaky", fn=flaky)]).records[0]
         assert record.ok and record.attempts == 3
-        assert sleeps == [0.5, 1.0]  # exponential
+        assert int(engine.registry.counter("retries").value) == 2
 
     def test_retries_exhausted(self):
-        runner = ExperimentRunner(retries=2, backoff=0.0)
-        report = runner.run(
-            [TaskSpec("doomed", lambda: (_ for _ in ()).throw(ValueError("no")))]
+        report = _run(
+            [("doomed", lambda: (_ for _ in ()).throw(ValueError("no")))],
+            retries=2, backoff=0.0,
         )
         record = report.records[0]
         assert record.status == "failed"
@@ -121,8 +87,8 @@ class TestRetries:
                 raise RuntimeError("unlucky roll")
             return seed
 
-        runner = ExperimentRunner(retries=3, backoff=0.0, reseed_base=500)
-        report = runner.run([TaskSpec("exp", experiment)])
+        report = _run([("exp", experiment)], retries=3, backoff=0.0,
+                      reseed_base=500)
         # First attempt uses the experiment's own default; retries reseed.
         assert seen == [None, 501, 502]
         assert report.records[0].seed == 502
@@ -136,8 +102,9 @@ class TestRetries:
                 raise RuntimeError("flake")
             return "ok"
 
-        runner = ExperimentRunner(retries=2, backoff=0.0, reseed_base=500)
-        assert runner.run([TaskSpec("exp", experiment)]).records[0].ok
+        report = _run([("exp", experiment)], retries=2, backoff=0.0,
+                      reseed_base=500)
+        assert report.records[0].ok
 
     def test_accepts_seed_detection(self):
         assert _accepts_seed(lambda seed=0: None)
@@ -147,13 +114,7 @@ class TestRetries:
 
 class TestIsolationAndReporting:
     def test_crash_does_not_kill_batch(self):
-        runner = ExperimentRunner()
-        report = runner.run(
-            [
-                TaskSpec("boom", lambda: 1 / 0),
-                TaskSpec("fine", lambda: "result"),
-            ]
-        )
+        report = _run([("boom", lambda: 1 / 0), ("fine", lambda: "result")])
         assert report.status == "partial"
         assert report.record("boom").status == "failed"
         assert "ZeroDivisionError" in report.record("boom").error
@@ -161,21 +122,16 @@ class TestIsolationAndReporting:
 
     def test_fail_fast_skips_the_rest(self):
         ran = []
-        runner = ExperimentRunner(fail_fast=True)
-        report = runner.run(
-            [
-                TaskSpec("boom", lambda: 1 / 0),
-                TaskSpec("later", lambda: ran.append(1)),
-            ]
+        report = _run(
+            [("boom", lambda: 1 / 0), ("later", lambda: ran.append(1))],
+            fail_fast=True,
         )
         assert report.record("later").status == "skipped"
         assert not ran
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="unique"):
-            ExperimentRunner().run(
-                [TaskSpec("x", lambda: 1), TaskSpec("x", lambda: 2)]
-            )
+            _run([("x", lambda: 1), ("x", lambda: 2)])
 
     def test_status_levels(self):
         assert BatchReport(records=[]).status == "pass"
@@ -186,19 +142,16 @@ class TestIsolationAndReporting:
         assert BatchReport(records=[bad]).status == "fail"
 
     def test_summary_mentions_every_task(self):
-        runner = ExperimentRunner()
-        report = runner.run(
-            [TaskSpec("alpha", lambda: 1), TaskSpec("beta", lambda: 1 / 0)]
-        )
+        report = _run([("alpha", lambda: 1), ("beta", lambda: 1 / 0)])
         text = report.summary()
         assert "alpha" in text and "beta" in text
         assert "partial" in text
 
     def test_invalid_runner_arguments(self):
         with pytest.raises(ValueError):
-            ExperimentRunner(retries=-1)
+            CampaignEngine(retries=-1)
         with pytest.raises(ValueError):
-            ExperimentRunner(backoff=-0.1)
+            CampaignEngine(backoff=-0.1)
 
 
 class TestManifest:
@@ -210,8 +163,7 @@ class TestManifest:
             seen.append(load_manifest(manifest))
             return "ok"
 
-        runner = ExperimentRunner(manifest_path=manifest)
-        runner.run([TaskSpec("first", lambda: 1), TaskSpec("second", check)])
+        _run([("first", lambda: 1), ("second", check)], manifest_path=manifest)
         # By the time "second" runs, "first" is already checkpointed.
         assert "first" in seen[0] and seen[0]["first"].ok
         records = load_manifest(manifest)
@@ -219,16 +171,16 @@ class TestManifest:
 
     def test_resume_skips_ok_and_reruns_failures(self, tmp_path):
         manifest = tmp_path / "m.json"
-        runner = ExperimentRunner(manifest_path=manifest)
-        runner.run([TaskSpec("good", lambda: 1), TaskSpec("bad", lambda: 1 / 0)])
+        _run([("good", lambda: 1), ("bad", lambda: 1 / 0)],
+             manifest_path=manifest)
 
         ran = []
-        resumed = ExperimentRunner(manifest_path=manifest, resume=True)
-        report = resumed.run(
+        report = _run(
             [
-                TaskSpec("good", lambda: ran.append("good")),
-                TaskSpec("bad", lambda: ran.append("bad") or "fixed"),
-            ]
+                ("good", lambda: ran.append("good")),
+                ("bad", lambda: ran.append("bad") or "fixed"),
+            ],
+            manifest_path=manifest, resume=True,
         )
         assert ran == ["bad"]
         assert report.record("good").cached
@@ -237,11 +189,9 @@ class TestManifest:
 
     def test_without_resume_everything_reruns(self, tmp_path):
         manifest = tmp_path / "m.json"
-        ExperimentRunner(manifest_path=manifest).run([TaskSpec("t", lambda: 1)])
+        _run([("t", lambda: 1)], manifest_path=manifest)
         ran = []
-        ExperimentRunner(manifest_path=manifest).run(
-            [TaskSpec("t", lambda: ran.append(1))]
-        )
+        _run([("t", lambda: ran.append(1))], manifest_path=manifest)
         assert ran == [1]
 
     def test_corrupt_manifest_loads_empty(self, tmp_path):

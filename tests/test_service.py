@@ -16,12 +16,13 @@ import pathlib
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 import repro
-from repro.campaign import CampaignDB
+from repro.campaign import CampaignDB, CampaignTask
 from repro.service import (
     CANCELLED,
     DONE,
@@ -51,6 +52,13 @@ def _svc(db_path, **kwargs):
     kwargs.setdefault("port", 0)
     kwargs.setdefault("concurrency", 1)
     return LeakcheckService(str(db_path), **kwargs)
+
+
+def hang(seconds):
+    # Busy loop standing in for a wedged victim simulation.
+    end = time.monotonic() + seconds
+    while time.monotonic() < end:
+        pass
 
 
 async def _poll_terminal(host, port, job_id, deadline_s=30.0):
@@ -142,6 +150,44 @@ class TestJobSpecs:
 
 
 # -- in-process service ----------------------------------------------------
+
+
+class TestServiceTimeouts:
+    def test_hung_task_times_out_and_leaves_no_thread(
+        self, tmp_path, monkeypatch
+    ):
+        """``--timeout`` must stop the hung task, not abandon it: with the
+        default ``engine_jobs=1`` the job still ends in ``timeout`` and
+        no thread outlives it."""
+        from repro.service import server as server_mod
+
+        def hung_job(kind, spec):
+            return dict(spec), [CampaignTask(
+                name=f"hang_{spec['seed']}", fn=hang, kwargs={"seconds": 30.0},
+            )]
+
+        monkeypatch.setattr(server_mod, "build_job_tasks", hung_job)
+        before = set(threading.enumerate())
+
+        async def scenario():
+            service = _svc(tmp_path / "c.sqlite", job_timeout=0.5,
+                           engine_jobs=1)
+            await service.start()
+            status, _, job = await http_request(
+                service.host, service.port, "POST", "/jobs",
+                {"kind": "probe", "spec": {"ops": FAST_OPS, "seed": 1}},
+            )
+            assert status == 202
+            final = await _poll_terminal(service.host, service.port,
+                                         job["id"])
+            await service.close()
+            return final
+
+        final = asyncio.run(scenario())
+        assert final["state"] == "timeout"
+        assert "timed out" in final["error"]
+        survivors = [t.name for t in threading.enumerate() if t not in before]
+        assert survivors == []
 
 
 class TestServiceHTTP:
