@@ -22,7 +22,6 @@ from repro.attacks.metaleak_t import MetaLeakT
 from repro.attacks.noise import NoiseProcess
 from repro.attacks.resilience import MIN_CALIBRATION_QUALITY, mean_confidence
 from repro.os.page_alloc import PageAllocator
-from repro.proc.batch import AccessBatch
 from repro.proc.processor import SecureProcessor
 from repro.utils.stats import accuracy
 from repro.utils.watchdog import CycleBudget, ensure_budget
@@ -134,9 +133,8 @@ class CovertChannelT:
 
     def _trojan_access(self, frame: int) -> None:
         addr = frame * PAGE_SIZE
-        self.proc.run_batch(
-            AccessBatch().flush(addr).read(addr, core=self.trojan_core)
-        )
+        self.proc.flush(addr)
+        self.proc.read(addr, core=self.trojan_core)
 
     def _round(self, bit: int) -> tuple[int, bool, bool, float]:
         """One protocol round; returns (latency, tx_seen, boundary_seen,

@@ -15,7 +15,6 @@ from __future__ import annotations
 from repro.config import BLOCK_SIZE
 from repro.mem.block import block_address, page_index
 from repro.os.page_alloc import PageAllocator
-from repro.proc.batch import AccessBatch
 from repro.proc.processor import SecureProcessor
 
 # Extra eviction-set entries beyond the associativity: a single in-order
@@ -250,17 +249,13 @@ class MetadataEvictor:
         used = 0
         self.last_max_read_latency = 0
         for key in sorted({self._target_key(addr) for addr in meta_addrs}):
-            # One flush+read pair per eviction block, submitted as a
-            # single batch (same operation order as the scalar loop).
-            batch = AccessBatch()
             for block in self._eviction_set_for(key):
-                batch.flush(block)
-                batch.read(block, core=self.core)
-            result = self.proc.run_batch(batch)
-            self.last_max_read_latency = max(
-                self.last_max_read_latency, result.max_read_latency()
-            )
-            used += result.read_count()
+                self.proc.flush(block)
+                latency = self.proc.read(block, core=self.core).latency
+                self.last_max_read_latency = max(
+                    self.last_max_read_latency, latency
+                )
+                used += 1
         self.accesses += used
         return used
 

@@ -64,9 +64,12 @@ Commands
     directory, printing the old→new ratio per scenario, and exits
     non-zero on a regression beyond ``--threshold``; ``--min-ratio X``
     additionally requires every ``steady_*`` scenario to reach X times
-    its baseline throughput (the batching speedup gate).  Note that
-    cached bench results replay the stored measurement; pass
-    ``--no-cache`` when you want fresh host-throughput numbers.
+    its baseline throughput (the steady-state speedup gate over the
+    committed baselines, which predate the functional/timing split).
+    A baseline run with the same seed and mode must also match
+    ``simulated_cycles``/``accesses`` exactly.  Note that cached bench
+    results replay the stored measurement; pass ``--no-cache`` when you
+    want fresh host-throughput numbers.
 
 ``serve [--host H] [--port P] [--capacity N] [--concurrency N]
 [--jobs N] [--timeout S] [--retries N] [--backoff S] [--drain-grace S]
@@ -100,12 +103,11 @@ Commands
 [--seed S] [--quick] [--collapsed FILE] [--prom FILE] [--min-share F]``
     Run one victim — or one processor-backed bench scenario — under the
     cycle-attribution profiler and print the hierarchical
-    where-did-the-cycles-go report (conservation-checked).  With the
-    profiler attached the batch API takes the scalar reference path, so
-    scenario profiles attribute the same event stream the benchmark
-    simulates.  ``--collapsed`` exports flamegraph-ready collapsed
-    stacks; ``--prom`` exports the counter registry in Prometheus text
-    format.
+    where-did-the-cycles-go report (conservation-checked).  Attaching
+    the profiler changes no simulated state, so scenario profiles
+    attribute the same event stream the benchmark simulates.
+    ``--collapsed`` exports flamegraph-ready collapsed stacks; ``--prom``
+    exports the counter registry in Prometheus text format.
 
 ``synth {generate,run,minimize,corpus,verify}``
     Attack-synthesis fuzzer (docs/synth.md).  ``generate`` prints seeded
@@ -516,7 +518,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         SecureProcessorConfig.sct_default(functional_crypto=False)
     )
     tracer = Tracer(capacity=args.capacity)
-    proc.attach_tracer(tracer)
+    proc.attach(tracer)
     spec.run(proc, secret)
     events = tracer.events()
     print(f"victim={spec.name} secret={args.secret} seed={args.seed}: "
@@ -680,7 +682,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             for o in offenders
         )
         print(
-            f"FAIL: throughput gate vs {args.compare} "
+            f"FAIL: bench gate vs {args.compare} "
             f"(allowed drop {args.threshold:.0%}"
             + (f", required steady_* speedup {args.min_ratio:.2f}x"
                if args.min_ratio is not None else "")
@@ -874,7 +876,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         config = preset_config(args.preset, functional_crypto=False)
         proc = SecureProcessor(config)
         attributor = CycleAttributor()
-        proc.attach_profiler(attributor)
+        proc.attach(attributor)
         spec.run(proc, secret)
         attributor.verify()
         print(f"victim={spec.name} preset={args.preset} seed={args.seed}")

@@ -13,10 +13,10 @@ from :class:`Component`.  A component contributes three things:
 
 :func:`attach` walks the graph once and installs one instrument into the
 matching slot of every component that declares it.  That single generic
-walk replaces the hand-written ``attach_tracer`` / ``install_fault_hook``
-fan-outs that previously re-enumerated the proc→hierarchy→MEE→memctrl→
-DRAM→crypto→tree layering at every layer boundary (the legacy entry
-points survive as thin shims over :func:`attach`).  Components created
+walk replaces hand-written per-instrument fan-outs that re-enumerated
+the proc→hierarchy→MEE→memctrl→DRAM→crypto→tree layering at every layer
+boundary (only ``MemoryEncryptionEngine.install_fault_hook`` survives,
+as a memory-side-only shim over :func:`attach`).  Components created
 *after* an attach — per-domain integrity trees, most notably — inherit
 their parent's current instruments through :func:`adopt`.
 

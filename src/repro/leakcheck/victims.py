@@ -76,10 +76,8 @@ def _rsa_run(proc: SecureProcessor, secret: object) -> None:
     rng = derive_rng(0, "leakcheck-rsa-public")
     base = rng.getrandbits(24) | 1
     modulus = rng.getrandbits(48) | (1 << 47) | 1
-    # The fetch sequence is a pure function of the secret's bits, so it
-    # goes through the batch API; under the detector's tracer this runs
-    # the scalar reference path, so event streams are unchanged.
-    victim.modexp_batched(base, int(secret), modulus)
+    for _ in victim.modexp(base, int(secret), modulus):
+        pass
     proc.drain_writes()
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro.config import PAGE_SIZE
 from repro.os.page_alloc import PageAllocator
-from repro.proc.batch import AccessBatch, BatchResult
 from repro.proc.processor import AccessResult, SecureProcessor
 
 
@@ -111,55 +110,3 @@ class Process:
 
     def paddr(self, vaddr: int) -> int:
         return self.address_space.translate(vaddr)
-
-    def batch(self) -> "ProcessBatch":
-        """Start recording a batched access sequence for this process."""
-        return ProcessBatch(self)
-
-
-class ProcessBatch:
-    """Batched counterpart of the :class:`Process` access methods.
-
-    Records the same operation sequence the scalar calls would issue —
-    translation happens at record time, and the process's ``cleanse``
-    policy expands each access into its access+flush (or write-through)
-    form — then submits everything through ``SecureProcessor.run_batch``
-    in one call.  ``run()`` returns the :class:`BatchResult`.
-    """
-
-    __slots__ = ("process", "batch")
-
-    def __init__(self, process: Process) -> None:
-        self.process = process
-        self.batch = AccessBatch()
-
-    def __len__(self) -> int:
-        return len(self.batch)
-
-    def read(self, vaddr: int) -> "ProcessBatch":
-        process = self.process
-        paddr = process.address_space.translate(vaddr)
-        self.batch.read(paddr, core=process.core)
-        if process.cleanse:
-            self.batch.flush(paddr)
-        return self
-
-    def write(self, vaddr: int, data: bytes | None = None) -> "ProcessBatch":
-        process = self.process
-        paddr = process.address_space.translate(vaddr)
-        if process.cleanse:
-            self.batch.write_through(paddr, data, core=process.core)
-        else:
-            self.batch.write(paddr, data, core=process.core)
-        return self
-
-    def flush(self, vaddr: int) -> "ProcessBatch":
-        self.batch.flush(self.process.address_space.translate(vaddr))
-        return self
-
-    def drain(self) -> "ProcessBatch":
-        self.batch.drain()
-        return self
-
-    def run(self) -> BatchResult:
-        return self.process.proc.run_batch(self.batch)

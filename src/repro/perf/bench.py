@@ -16,7 +16,8 @@ deterministic for a given seed and code version; only the host-side
 columns (wall time, throughput, RSS) vary between machines and runs.
 Comparison is intentionally loose for that reason: a regression is flagged
 only when current throughput drops more than ``threshold`` (default 20%)
-below the baseline's.
+below the baseline's.  The simulated columns, by contrast, are compared
+exactly whenever the baseline ran the same seed and mode.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from repro.attacks.covert import CovertChannelT
 from repro.config import MIB, PAGE_SIZE, preset_config
 from repro.leakcheck.victims import get_victim
 from repro.os.page_alloc import PageAllocator
-from repro.proc.batch import AccessBatch
 from repro.proc.processor import SecureProcessor
 from repro.utils.provenance import git_rev as _git_rev
 
@@ -73,8 +73,8 @@ class BenchResult:
 #: When set (see :func:`machine_instrument`), every scenario machine is
 #: passed through this hook right after construction — the seam that lets
 #: ``repro profile --scenario`` attach the cycle attributor without the
-#: scenarios knowing about profiling.  Instrumented machines take the
-#: scalar reference path in ``run_batch``, so the attribution is exact.
+#: scenarios knowing about profiling.  Instrumented machines run the
+#: same operations as bare ones, so the attribution is exact.
 _MACHINE_INSTRUMENT: Callable[[SecureProcessor], None] | None = None
 
 
@@ -110,11 +110,8 @@ def _steady(preset: str, seed: int, quick: bool) -> tuple[SecureProcessor, int]:
     """Seeded steady-state mix: reads, writes, occasional flush + fence.
 
     The flushes keep the miss paths (counter fetch, tree walks) live so the
-    benchmark exercises the full MEE read path, not just L1 hits.  The mix
-    is recorded as one :class:`~repro.proc.AccessBatch` — drawing from the
-    RNG in exactly the per-op order of the original scalar loop, so the
-    simulated columns are bit-identical — and submitted in a single
-    ``run_batch`` call.
+    benchmark exercises the full MEE read path, not just L1 hits.  The
+    reported access count includes the closing fence.
     """
     proc, allocator = _bench_machine(preset)
     rng = Random(seed)
@@ -123,22 +120,20 @@ def _steady(preset: str, seed: int, quick: bool) -> tuple[SecureProcessor, int]:
              for frame in frames for _ in range(4)]
     ops = _STEADY_OPS_QUICK if quick else _STEADY_OPS
     cores = proc.config.cores
-    batch = AccessBatch()
     for i in range(ops):
         addr = rng.choice(addrs)
         roll = rng.random()
         if roll < 0.70:
-            batch.read(addr, core=rng.randrange(cores))
+            proc.read(addr, core=rng.randrange(cores))
         elif roll < 0.90:
-            batch.write(addr, i.to_bytes(8, "little"),
-                        core=rng.randrange(cores))
+            proc.write(addr, i.to_bytes(8, "little"),
+                       core=rng.randrange(cores))
         elif roll < 0.98:
-            batch.flush(addr)
+            proc.flush(addr)
         else:
-            batch.drain()
-    batch.drain()
-    proc.run_batch(batch)
-    return proc, len(batch)
+            proc.drain_writes()
+    proc.drain_writes()
+    return proc, ops + 1
 
 
 def _victim_rsa(seed: int, quick: bool) -> tuple[SecureProcessor, int]:
@@ -364,12 +359,12 @@ def run_scenario(
 def profile_scenario(name: str, *, seed: int = 0, quick: bool = False):
     """Run one scenario under the cycle-attribution profiler.
 
-    Returns ``(attributor, proc)`` for the scenario's machine.  With the
-    profiler attached the batch API takes the scalar reference path, so
-    the attribution is exact per-leg cycle accounting of the same event
-    stream the uninstrumented benchmark simulates.  Only processor-backed
-    scenarios (``steady_*``, ``victim_rsa``, ``covert_t``) can be
-    profiled; system scenarios measure across many short-lived machines.
+    Returns ``(attributor, proc)`` for the scenario's machine.  Attaching
+    the profiler changes no simulated state, so the attribution is exact
+    per-leg cycle accounting of the same event stream the uninstrumented
+    benchmark simulates.  Only processor-backed scenarios (``steady_*``,
+    ``victim_rsa``, ``covert_t``) can be profiled; system scenarios
+    measure across many short-lived machines.
     """
     from repro.perf.attribution import CycleAttributor
 
@@ -377,7 +372,7 @@ def profile_scenario(name: str, *, seed: int = 0, quick: bool = False):
 
     def _attach(proc: SecureProcessor) -> None:
         attributor = CycleAttributor()
-        proc.attach_profiler(attributor)
+        proc.attach(attributor)
         instrumented.append((proc, attributor))
 
     with machine_instrument(_attach):
@@ -437,7 +432,9 @@ def compare(
     additionally requires scenarios whose name starts with
     ``min_ratio_prefix`` to reach at least that multiple of the baseline
     throughput — the CI speedup gate for committed pre-refactor
-    baselines.  Quick/full mode mismatches are skipped rather than
+    baselines.  A baseline with the same seed must also match
+    ``simulated_cycles`` and ``accesses`` exactly; any drift is a
+    regression.  Quick/full mode mismatches are skipped rather than
     compared — the workloads differ.  Missing baselines are reported,
     not failed, so the first run of a new scenario does not break CI.
     """
@@ -479,7 +476,19 @@ def compare(
         gated = min_ratio is not None and result.scenario.startswith(
             min_ratio_prefix
         )
-        if current < floor:
+        drift = [
+            f"{column} {getattr(ref, column)} in baseline, "
+            f"{getattr(result, column)} now"
+            for column in ("simulated_cycles", "accesses")
+            if ref.seed == result.seed
+            and getattr(ref, column) != getattr(result, column)
+        ]
+        if drift:
+            outcomes.append(Comparison(
+                result.scenario, "regression",
+                f"{detail}; simulated drift: {'; '.join(drift)}", ratio,
+            ))
+        elif current < floor:
             outcomes.append(
                 Comparison(result.scenario, "regression", detail, ratio)
             )

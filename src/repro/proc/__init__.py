@@ -1,13 +1,10 @@
 """The simulated secure processor: cores, caches, MEE and a global clock."""
 
-from repro.proc.batch import AccessBatch, BatchResult
 from repro.proc.paths import AccessPath
 from repro.proc.processor import AccessResult, SecureProcessor
 
 __all__ = [
-    "AccessBatch",
     "AccessPath",
     "AccessResult",
-    "BatchResult",
     "SecureProcessor",
 ]

@@ -32,19 +32,9 @@ from repro.core import (
     slot_of,
 )
 from repro.core import attach as graph_attach
-from repro.core import detach as graph_detach
 from repro.mem.block import block_address
 from repro.mem.hierarchy import DataCacheSystem
 from repro.mem.memctrl import MemoryController
-from repro.proc.batch import (
-    OP_DRAIN,
-    OP_FLUSH,
-    OP_READ,
-    OP_WRITE,
-    OP_WRITE_THROUGH,
-    AccessBatch,
-    BatchResult,
-)
 from repro.proc.paths import AccessPath
 from repro.secmem.engine import MemoryEncryptionEngine
 from repro.trace.counters import CounterRegistry
@@ -141,8 +131,8 @@ class SecureProcessor(Component):
         ``repro.perf.MetricsSampler`` → ``sampler``) unless given
         explicitly.  Tracers get their clock bound to this processor's
         cycle counter; samplers take an initial snapshot.  Returns the
-        number of components reached; :func:`repro.core.detach` (or the
-        legacy ``attach_*(None)`` shims) restores the no-op fast path.
+        number of components reached; :func:`repro.core.detach` restores
+        the no-op fast path.
         """
         slot = slot if slot is not None else slot_of(instrument)
         if slot == TRACER and instrument is not None:
@@ -151,46 +141,6 @@ class SecureProcessor(Component):
         if slot == SAMPLER and instrument is not None:
             instrument.on_cycle(self.cycle)
         return count
-
-    def attach_tracer(self, tracer) -> None:
-        """Thread one trace sink through the whole machine.
-
-        Deprecated shim over :meth:`attach`.  Binds the tracer's clock to
-        this processor's cycle counter (so components that have no notion
-        of time stamp events correctly) and attaches it to every cache,
-        the memory controller, DRAM and the memory encryption engine.
-        ``None`` detaches everywhere.
-        """
-        if tracer is None:
-            graph_detach(self, TRACER)
-        else:
-            self.attach(tracer, slot=TRACER)
-
-    def attach_profiler(self, profiler) -> None:
-        """Attach a cycle attributor (``repro.perf.CycleAttributor``).
-
-        Deprecated shim over :meth:`attach`.  While attached, every
-        software-visible operation reports its latency as a per-component
-        breakdown whose sum equals the access's pre-jitter latency (the
-        conservation guarantee).  ``None`` detaches and restores the
-        zero-overhead path.
-        """
-        if profiler is None:
-            graph_detach(self, PROFILER)
-        else:
-            self.attach(profiler, slot=PROFILER)
-
-    def attach_sampler(self, sampler) -> None:
-        """Attach a metrics sampler (``repro.perf.MetricsSampler``).
-
-        Deprecated shim over :meth:`attach`.  The sampler snapshots
-        ``self.registry`` every N simulated cycles, ticked from the
-        operations that advance the machine clock.  ``None`` detaches.
-        """
-        if sampler is None:
-            graph_detach(self, SAMPLER)
-        else:
-            self.attach(sampler, slot=SAMPLER)
 
     # ------------------------------------------------------------------
     # Per-access transactions
@@ -381,13 +331,12 @@ class SecureProcessor(Component):
             breakdown=txn.parts,
         )
 
-    def flush(self, addr: int, *, keep_clean_copy: bool = False) -> int:
+    def flush(self, addr: int) -> int:
         """clflush: drop the block from every cache; write back if dirty."""
         self.stats.flushes += 1
         block = block_address(addr)
         txn = self._begin("flush", -1, block)
         was_dirty, writebacks = self.caches.flush(block)
-        del keep_clean_copy  # reserved for a clwb variant; clflush drops
         if was_dirty:
             for writeback in writebacks:
                 self._enqueue_data_writeback(writeback)
@@ -411,147 +360,6 @@ class SecureProcessor(Component):
     def timed_read(self, addr: int, *, core: int = 0) -> int:
         """Read and return only the measured latency (rdtscp-style)."""
         return self.read(addr, core=core).latency
-
-    # ------------------------------------------------------------------
-    # Batch access path
-    # ------------------------------------------------------------------
-
-    def read_batch(self, addrs, *, core: int = 0) -> BatchResult:
-        """Load every address in ``addrs`` (in order) as one batch."""
-        return self.run_batch(AccessBatch.reads(addrs, core=core))
-
-    def run_batch(self, batch: AccessBatch) -> BatchResult:
-        """Execute a recorded operation vector.
-
-        Semantically identical to replaying the batch through the scalar
-        calls — same simulated cycles, cache/counter state and RNG draw
-        order (the equivalence property test asserts this).  With any
-        instrument attached (tracer, profiler, sampler, fault hook) the
-        scalar loop runs outright so event streams match byte-for-byte;
-        otherwise address decompositions are precomputed once per batch
-        and uninstrumented L1 hits — the steady-state common case — are
-        resolved inline, with every other operation delegated to the
-        scalar reference path.
-        """
-        ops = batch.ops
-        if (
-            self.tracer is not None
-            or self.profiler is not None
-            or self.sampler is not None
-            or self.mee.fault_hook is not None
-        ):
-            return BatchResult(ops, [self._run_op_scalar(op) for op in ops])
-
-        # Per-batch decomposition table: addr -> (block, L1 set index).
-        # L1 geometry is uniform across cores, so one table serves all.
-        l1_geometry = self.caches.core_caches[0].l1
-        block_mask = l1_geometry._block_mask
-        block_shift = l1_geometry._block_shift
-        num_sets = l1_geometry.num_sets
-        table: dict[int, tuple[int, int]] = {}
-        for op in ops:
-            addr = op[1]
-            if addr is not None and addr not in table:
-                block = addr & block_mask
-                table[addr] = (block, (block >> block_shift) % num_sets)
-
-        core_caches = self.caches.core_caches
-        l1_latency = self.caches.hit_latency[0]
-        data_size = self.layout.data_size
-        stats = self.stats
-        path_counts = stats.path_counts
-        plain = self._plain
-        jitter = self.config.timer_jitter_sigma > 0
-        zero_block = bytes(BLOCK_SIZE)
-        results: list = []
-        append = results.append
-        for kind, addr, data, core in ops:
-            if kind == OP_READ:
-                if not 0 <= addr < data_size:
-                    self._check_data_addr(addr)
-                block, set_index = table[addr]
-                l1 = core_caches[core].l1
-                cache_set = l1._sets.get(set_index)
-                way = (
-                    cache_set.index_of.get(block)
-                    if cache_set is not None
-                    else None
-                )
-                if way is None:
-                    append(self.read(addr, core=core))
-                    continue
-                # Inline L1 read hit: byte-identical to the scalar path.
-                cache_set.policy.on_access(way)
-                l1._hits.value += 1
-                stats.reads += 1
-                path_counts[AccessPath.L1_HIT] = (
-                    path_counts.get(AccessPath.L1_HIT, 0) + 1
-                )
-                self.cycle += l1_latency
-                latency = (
-                    self._observed(l1_latency) if jitter else l1_latency
-                )
-                append(
-                    AccessResult(
-                        latency=latency,
-                        path=AccessPath.L1_HIT,
-                        cycle=self.cycle,
-                        data=plain.get(block, zero_block),
-                    )
-                )
-            elif kind == OP_WRITE:
-                if not 0 <= addr < data_size:
-                    self._check_data_addr(addr)
-                block, set_index = table[addr]
-                l1 = core_caches[core].l1
-                cache_set = l1._sets.get(set_index)
-                way = (
-                    cache_set.index_of.get(block)
-                    if cache_set is not None
-                    else None
-                )
-                if way is None:
-                    append(self.write(addr, data, core=core))
-                    continue
-                # Inline L1 write hit (scalar write hits skip path stats
-                # and timer jitter — preserved exactly).
-                plain[block] = (
-                    plain.get(block, zero_block)
-                    if data is None
-                    else self._coerce_data(block, data)
-                )
-                cache_set.policy.on_access(way)
-                cache_set.dirty[way] = True
-                l1._hits.value += 1
-                stats.writes += 1
-                self.cycle += l1_latency
-                append(
-                    AccessResult(
-                        latency=l1_latency,
-                        path=AccessPath.L1_HIT,
-                        cycle=self.cycle,
-                    )
-                )
-            elif kind == OP_WRITE_THROUGH:
-                append(self.write_through(addr, data, core=core))
-            elif kind == OP_FLUSH:
-                append(self.flush(addr))
-            else:
-                append(self.drain_writes())
-        return BatchResult(ops, results)
-
-    def _run_op_scalar(self, op) -> object:
-        """Scalar fallback: one batch op through the reference path."""
-        kind, addr, data, core = op
-        if kind == OP_READ:
-            return self.read(addr, core=core)
-        if kind == OP_WRITE:
-            return self.write(addr, data, core=core)
-        if kind == OP_WRITE_THROUGH:
-            return self.write_through(addr, data, core=core)
-        if kind == OP_FLUSH:
-            return self.flush(addr)
-        return self.drain_writes()
 
     # ------------------------------------------------------------------
     # Helpers

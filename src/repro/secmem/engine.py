@@ -31,7 +31,6 @@ from repro.config import (
 from repro.core import (
     FAULT_HOOK,
     NULL_TXN,
-    TRACER,
     Component,
     Txn,
     adopt,
@@ -161,20 +160,6 @@ class MemoryEncryptionEngine(Component):
             detach(self, FAULT_HOOK)
         else:
             attach(self, hook, slot=FAULT_HOOK)
-
-    def attach_tracer(self, tracer) -> None:
-        """Thread one trace sink through every memory-side layer.
-
-        Deprecated shim over the component graph: equivalent to
-        ``repro.core.attach(engine, tracer)``.  The tracer (a
-        ``repro.trace.Tracer``) receives metadata-cache hits/misses, tree
-        walks and updates, counter overflows, write-queue activity and
-        DRAM accesses; ``None`` detaches everywhere.
-        """
-        if tracer is None:
-            detach(self, TRACER)
-        else:
-            attach(self, tracer, slot=TRACER)
 
     # ------------------------------------------------------------------
     # Per-domain isolated trees (Section IX-C mitigation)

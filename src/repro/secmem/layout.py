@@ -181,7 +181,7 @@ class MetadataLayout:
 
         Returns ``((level, node_index, node_addr), ...)`` for every
         off-chip tree level, leaf level first — the precomputed
-        ``decompose`` table the MEE walk and the batch API iterate.
+        ``decompose`` table the MEE walk iterates.
         """
         path = self._paths.get(cb_index)
         if path is None:

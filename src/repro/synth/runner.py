@@ -105,10 +105,8 @@ def synth_config(
 def _execute(proc: SecureProcessor, program: Program, secret: object) -> None:
     """Run one side of the paired experiment (``secret`` is the bit).
 
-    The whole program is a pure function of the bit (guards are resolved
-    at record time), so it compiles to one access batch; under the
-    oracle's tracer this executes the scalar reference path, keeping
-    event streams identical to per-op execution.
+    Guarded ops run only on the matching bit; every access goes through
+    the process's scalar calls, and the run ends with a write fence.
     """
     bit = int(secret) & 1  # type: ignore[call-overload]
     allocator = PageAllocator(
@@ -118,25 +116,23 @@ def _execute(proc: SecureProcessor, program: Program, secret: object) -> None:
         proc, allocator, core=0, cleanse=program.cleanse, name="synth"
     )
     base = process.alloc(program.pages)
-    batch = process.batch()
     for op in program.ops:
         if op.guard is Guard.IF_ONE and bit != 1:
             continue
         if op.guard is Guard.IF_ZERO and bit != 0:
             continue
         if op.kind is OpKind.DRAIN:
-            batch.drain()
+            proc.drain_writes()
             continue
         for line in op_lines(program, op):
             vaddr = base + line * BLOCK_SIZE
             if op.kind is OpKind.READ:
-                batch.read(vaddr)
+                process.read(vaddr)
             elif op.kind is OpKind.WRITE:
-                batch.write(vaddr, b"\x5a")
+                process.write(vaddr, b"\x5a")
             else:  # FLUSH / EVICT
-                batch.flush(vaddr)
-    batch.drain()
-    batch.run()
+                process.flush(vaddr)
+    proc.drain_writes()
 
 
 def compile_program(program: Program, *, name: str = "synth") -> VictimSpec:

@@ -71,30 +71,6 @@ class RsaModexpVictim:
                 yield ModexpStep(operation="multiply", bit_index=bit_index)
         return result
 
-    def modexp_batched(self, base: int, exponent: int, modulus: int) -> int:
-        """Run the exponentiation submitting its fetches as one batch.
-
-        The instruction-fetch sequence is a pure function of the
-        exponent's bits, so it can be recorded up front and submitted
-        through the processor's batch API — the access order (and
-        therefore every simulated event) is identical to draining
-        :meth:`modexp`, just without one Python call per fetch.
-        """
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        batch = self.process.batch()
-        result = 1
-        for bit_index in range(exponent.bit_length() - 1, -1, -1):
-            batch.read(self.square_page_vaddr)
-            result = (result * result) % modulus
-            if (exponent >> bit_index) & 1:
-                batch.read(self.multiply_page_vaddr)
-                result = (result * base) % modulus
-        batch.run()
-        return result
-
 
 def recover_exponent_from_ops(operations: list[str]) -> int:
     """Rebuild the exponent from a square/multiply operation trace.

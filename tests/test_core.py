@@ -19,6 +19,7 @@ from repro.config import SecureProcessorConfig
 from repro.core import (
     FAULT_HOOK,
     NULL_TXN,
+    PROFILER,
     TRACER,
     Txn,
     detach,
@@ -124,12 +125,12 @@ class TestComponentGraph:
         assert proc._begin("read", 0, 0) is NULL_TXN
         assert proc.read(0).breakdown is None
 
-    def test_shim_none_detaches_everywhere(self):
+    def test_detach_clears_instruments_everywhere(self):
         proc = _machine()
-        proc.attach_tracer(Tracer())
-        proc.attach_profiler(CycleAttributor())
-        proc.attach_tracer(None)
-        proc.attach_profiler(None)
+        proc.attach(Tracer())
+        proc.attach(CycleAttributor())
+        detach(proc, TRACER)
+        detach(proc, PROFILER)
         for node in walk(proc):
             assert getattr(node, "tracer", None) is None
         assert proc.profiler is None
@@ -210,7 +211,7 @@ class TestLateDomainTrees:
     def test_tree_built_after_attach_inherits_instruments(self):
         proc = SecureProcessor(isolated_tree_config(protected_size=4 << 20))
         tracer = Tracer()
-        proc.attach_tracer(tracer)
+        proc.attach(tracer)
         hook = _RecordingHook()
         proc.mee.install_fault_hook(hook)
         frame = 3
@@ -244,21 +245,6 @@ class TestLateDomainTrees:
 
 
 class TestShimEquivalence:
-    def test_shims_and_generic_attach_produce_identical_observations(self):
-        proc_shim, proc_generic = _machine(), _machine()
-        tracer_shim, tracer_generic = Tracer(), Tracer()
-        prof_shim, prof_generic = CycleAttributor(), CycleAttributor()
-        proc_shim.attach_tracer(tracer_shim)
-        proc_shim.attach_profiler(prof_shim)
-        proc_generic.attach(tracer_generic)
-        proc_generic.attach(prof_generic)
-        _workload(proc_shim)
-        _workload(proc_generic)
-        assert tracer_shim.events() == tracer_generic.events()
-        assert prof_shim.component_totals() == prof_generic.component_totals()
-        assert prof_shim.cycles == prof_generic.cycles
-        assert prof_shim.accesses == prof_generic.accesses
-
     def test_fault_hook_shim_matches_generic_attach_at_engine(self):
         from repro.core import attach
 

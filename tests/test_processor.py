@@ -1,9 +1,18 @@
 """Direct tests of the SecureProcessor surface."""
 
+from random import Random
+
 import pytest
 
-from repro.config import MIB, SecureProcessorConfig
+from repro.config import MIB, PAGE_SIZE, SecureProcessorConfig
+from repro.core import FAULT_HOOK, PROFILER, SAMPLER, TRACER
+from repro.faults import FaultHook
+from repro.perf import CycleAttributor, MetricsSampler
 from repro.proc import AccessPath, SecureProcessor
+from repro.synth.runner import DEFENSES, synth_config
+from repro.trace import Tracer
+
+PRESETS = ("sct", "ht", "sgx")
 
 
 @pytest.fixture()
@@ -130,3 +139,166 @@ class TestGuards:
             proc.read(proc.layout.counter_base)
         with pytest.raises(ValueError):
             proc.write(proc.layout.levels[0].base, b"x")
+
+
+# ----------------------------------------------------------------------
+# Instrument invariance: instruments observe the machine, never steer it
+# ----------------------------------------------------------------------
+
+
+def _machine(preset: str, defense: str = "none") -> SecureProcessor:
+    # synth_config: functional crypto off, jitter-free timer — the same
+    # reproducible machine the synthesis oracle runs on.
+    return SecureProcessor(synth_config(preset, defense))
+
+
+def _op_vector(proc: SecureProcessor, seed: int, ops: int = 160):
+    """A seeded mixed op vector hitting every software-visible op kind."""
+    rng = Random(seed)
+    addrs = [
+        page * PAGE_SIZE + 64 * rng.randrange(PAGE_SIZE // 64)
+        for page in range(12)
+        for _ in range(3)
+    ]
+    cores = proc.config.cores
+    vector = []
+    for i in range(ops):
+        addr = rng.choice(addrs)
+        roll = rng.random()
+        core = rng.randrange(cores)
+        if roll < 0.55:
+            vector.append(("read", addr, None, core))
+        elif roll < 0.75:
+            vector.append(("write", addr, i.to_bytes(4, "little"), core))
+        elif roll < 0.85:
+            vector.append(("write_through", addr, b"p", core))
+        elif roll < 0.95:
+            vector.append(("flush", addr, None, 0))
+        else:
+            vector.append(("drain", None, None, 0))
+    return vector
+
+
+def _run(proc: SecureProcessor, vector):
+    results = []
+    for kind, addr, data, core in vector:
+        if kind == "read":
+            results.append(proc.read(addr, core=core))
+        elif kind == "write":
+            results.append(proc.write(addr, data, core=core))
+        elif kind == "write_through":
+            results.append(proc.write_through(addr, data, core=core))
+        elif kind == "flush":
+            results.append(proc.flush(addr))
+        else:
+            results.append(proc.drain_writes())
+    return results
+
+
+def _cache_states(proc: SecureProcessor):
+    """Full functional cache state of the machine, eviction-order exact."""
+    state = {}
+    for i, core in enumerate(proc.caches.core_caches):
+        state[f"core{i}.l1"] = core.l1.state_snapshot()
+        state[f"core{i}.l2"] = core.l2.state_snapshot()
+    for s, l3 in enumerate(proc.caches.l3s):
+        state[f"l3.socket{s}"] = l3.state_snapshot()
+    state["meta"] = proc.mee.meta_cache.state_snapshot()
+    if proc.mee.tree_cache is not proc.mee.meta_cache:
+        state["tree"] = proc.mee.tree_cache.state_snapshot()
+    return state
+
+
+def _without_breakdown(result):
+    # Only a profiled access carries a cycle breakdown.
+    if hasattr(result, "breakdown"):
+        result.breakdown = None
+    return result
+
+
+class _RecordingHook(FaultHook):
+    """A fault hook that injects nothing and records every callback."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_dram_access(self, addr, now, *, is_write):
+        self.calls.append(("dram", addr, now, is_write))
+
+    def on_write_drain(self, entries):
+        self.calls.append(("drain", len(entries)))
+        return entries
+
+    def on_cache_fill(self, cache_name, block_addr):
+        self.calls.append(("fill", cache_name, block_addr))
+
+    def on_counter_increment(self, block):
+        self.calls.append(("ctr", block))
+
+    def on_meta_fetch(self, kind, level, index):
+        self.calls.append(("meta", kind, level, index))
+
+
+def _instruments(proc: SecureProcessor) -> dict:
+    """One instrument per slot, ready to attach to ``proc``."""
+    return {
+        TRACER: Tracer(),
+        PROFILER: CycleAttributor(keep_records=True),
+        SAMPLER: MetricsSampler(proc.registry, every=500),
+        FAULT_HOOK: _RecordingHook(),
+    }
+
+
+def _observations(slot: str, instrument) -> list:
+    if slot == TRACER:
+        return instrument.events()
+    if slot == PROFILER:
+        return instrument.records
+    if slot == SAMPLER:
+        return instrument.samples
+    return instrument.calls
+
+
+class TestInstrumentInvariance:
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("defense", DEFENSES)
+    def test_instrumented_matches_bare(self, preset, defense):
+        """Tracer, profiler, sampler and fault hook change no simulated
+        state: cycles, counters, stats, caches and per-op results match
+        a bare machine's (cycle breakdowns aside)."""
+        bare = _machine(preset, defense)
+        instrumented = _machine(preset, defense)
+        instruments = _instruments(instrumented)
+        for instrument in instruments.values():
+            instrumented.attach(instrument)
+        seed = 100 * PRESETS.index(preset) + DEFENSES.index(defense)
+        vector = _op_vector(bare, seed=seed)
+        bare_results = _run(bare, vector)
+        instrumented_results = _run(instrumented, vector)
+        assert instrumented.cycle == bare.cycle
+        assert instrumented.registry.snapshot() == bare.registry.snapshot()
+        assert instrumented.stats == bare.stats
+        assert _cache_states(instrumented) == _cache_states(bare)
+        assert [_without_breakdown(r) for r in instrumented_results] == (
+            bare_results
+        )
+        for slot, instrument in instruments.items():
+            assert _observations(slot, instrument), slot
+
+    @pytest.mark.parametrize("slot", (TRACER, PROFILER, SAMPLER, FAULT_HOOK))
+    def test_observations_independent_of_other_instruments(self, slot):
+        """An instrument sees the same stream alone or alongside the
+        other three."""
+        alone, crowded = _machine("sct"), _machine("sct")
+        solo = _instruments(alone)[slot]
+        alone.attach(solo)
+        everything = _instruments(crowded)
+        for instrument in everything.values():
+            crowded.attach(instrument)
+        vector = _op_vector(alone, seed=11)
+        _run(alone, vector)
+        _run(crowded, vector)
+        assert _observations(slot, solo)
+        assert _observations(slot, everything[slot]) == _observations(
+            slot, solo
+        )
