@@ -46,10 +46,10 @@ def main() -> None:
     # Ground truth (simulator-only): every found page must alias the
     # target leaf's metadata-cache set.
     leaf = proc.layout.node_addr_for_data(target, 0)
-    target_set = proc.metadata_cache.set_index_of(leaf)
+    target_set = proc.mee.meta_cache.set_index_of(leaf)
     aliasing = sum(
         any(
-            proc.metadata_cache.set_index_of(meta) == target_set
+            proc.mee.meta_cache.set_index_of(meta) == target_set
             for meta in [proc.layout.counter_block_addr(frame * PAGE_SIZE)]
             + [
                 proc.layout.node_addr_for_data(frame * PAGE_SIZE, level)

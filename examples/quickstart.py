@@ -32,7 +32,7 @@ def main() -> None:
     result = proc.read(addr)
     print(f"  flushed   : {result.path.value:<45} {result.latency:>5} cycles")
     proc.flush(addr)
-    proc.metadata_cache.invalidate(proc.layout.counter_block_addr(addr))
+    proc.mee.meta_cache.invalidate(proc.layout.counter_block_addr(addr))
     result = proc.read(addr)
     print(f"  ctr miss  : {result.path.value:<45} {result.latency:>5} cycles")
     print()

@@ -28,7 +28,7 @@ class MetadataMapper:
     def __init__(self, proc: SecureProcessor) -> None:
         self.proc = proc
         self.layout = proc.layout
-        self.meta_cache = proc.metadata_cache
+        self.meta_cache = proc.mee.meta_cache
 
     # -- forward mapping ---------------------------------------------------
 
@@ -211,7 +211,7 @@ class MetadataEvictor:
         blocks = self._eviction_sets.get(key)
         if blocks is None:
             cache = (
-                self.proc.mee.tree_cache if is_tree else self.proc.metadata_cache
+                self.proc.mee.tree_cache if is_tree else self.proc.mee.meta_cache
             )
             needed = cache.ways + _EVICTION_SLACK
             candidates = (

@@ -22,11 +22,13 @@ their parent's current instruments through :func:`adopt`.
 
 Two rules keep the hot paths honest:
 
-* slot **assignment** happens only here (and in :mod:`repro.core.txn`);
-  a CI guard rejects new manual ``.tracer = `` / ``.fault_hook = ``
-  threading anywhere else, so the old pattern cannot creep back;
+* slot **assignment** happens only in this module; a CI guard rejects
+  hand-written assignments to a component's tracer or fault-hook slot
+  anywhere else, so per-layer instrument threading cannot creep back;
 * slot **reads** stay where they always were: a detached component pays
   exactly one ``is None`` test per instrumented event, and nothing else.
+  This is the only route from a component to its instruments — the
+  per-access :class:`~repro.core.Txn` carries cycle attribution only.
 """
 
 from __future__ import annotations

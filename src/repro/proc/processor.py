@@ -53,10 +53,6 @@ class AccessResult:
     counter_hit: bool = False
     tree_levels_missed: int = 0
     data: bytes = b""
-    # Critical-path cycle attribution (populated only while a profiler is
-    # attached): component -> cycles, summing exactly to the access's
-    # pre-jitter latency.  See ``repro.perf`` / docs/performance.md.
-    breakdown: dict[str, int] | None = None
 
 
 @dataclass
@@ -75,8 +71,9 @@ class SecureProcessor(Component):
 
     The processor is the root of the component graph (``repro.core``):
     ``attach`` installs an instrument — tracer, fault hook, cycle
-    attributor, metrics sampler — across the whole machine in one walk,
-    and every software-visible operation runs under a per-access
+    attributor, metrics sampler — across the whole machine in one walk.
+    While a cycle attributor is attached, every software-visible
+    operation charges its latency into a per-access
     :class:`~repro.core.Txn` created by :meth:`_begin`.
     """
 
@@ -146,35 +143,29 @@ class SecureProcessor(Component):
     # Per-access transactions
     # ------------------------------------------------------------------
 
-    def _begin(self, op: str, core: int, addr: int | None) -> Txn:
-        """Open the transaction for one software-visible operation.
+    def _begin(self) -> Txn:
+        """Open the cycle-attribution transaction for one operation.
 
-        Returns the shared no-op :data:`~repro.core.NULL_TXN` when nothing
-        is attached anywhere — the zero-overhead fast path allocates
-        nothing.  Otherwise the transaction carries the attached tracer
-        and the engine's fault hook down the memory path, and builds
-        attribution parts only while a profiler is attached.
+        Returns the shared no-op :data:`~repro.core.NULL_TXN` unless a
+        profiler is attached — the fast path allocates nothing, traced
+        and fault-hooked runs included.
         """
-        if (
-            self.tracer is None
-            and self.profiler is None
-            and self.mee.fault_hook is None
-        ):
-            return NULL_TXN
-        return Txn(
-            op,
-            core,
-            addr,
-            tracer=self.tracer,
-            fault_hook=self.mee.fault_hook,
-            profiling=self.profiler is not None,
-        )
+        return NULL_TXN if self.profiler is None else Txn()
 
-    def _finish(self, txn: Txn, *, path: AccessPath | None, latency: int) -> None:
+    def _finish(
+        self,
+        txn: Txn,
+        op: str,
+        core: int,
+        addr: int | None,
+        *,
+        path: AccessPath | None,
+        latency: int,
+    ) -> None:
         """Close a transaction: report attribution, tick the sampler."""
         if txn.profiling:
             self.profiler.on_access(
-                op=txn.op, path=path, core=txn.core, addr=txn.addr,
+                op=op, path=path, core=core, addr=addr,
                 cycle=self.cycle, latency=latency, parts=txn.parts,
                 shadowed=txn.shadowed or None,
             )
@@ -221,7 +212,7 @@ class SecureProcessor(Component):
         self._check_data_addr(addr)
         self.stats.reads += 1
         block = block_address(addr)
-        txn = self._begin("read", core, block)
+        txn = self._begin()
         hier = self.caches.access(core, block, is_write=False)
         if hier.hit_level is not None:
             path = (AccessPath.L1_HIT, AccessPath.L2_HIT, AccessPath.L3_HIT)[
@@ -229,17 +220,19 @@ class SecureProcessor(Component):
             ]
             self.stats.count(path)
             self.cycle += hier.latency
-            txn.emit(
-                "proc", "read", core=core, addr=block, value=float(hier.latency)
-            )
+            if self.tracer is not None:
+                self.tracer.emit(
+                    "proc", "read", core=core, addr=block,
+                    value=float(hier.latency),
+                )
             txn.charge(f"cache.l{hier.hit_level}_hit", hier.latency)
-            self._finish(txn, path=path, latency=hier.latency)
+            self._finish(txn, "read", core, block, path=path,
+                         latency=hier.latency)
             return AccessResult(
                 latency=self._observed(hier.latency),
                 path=path,
                 cycle=self.cycle,
                 data=self._plain.get(block, bytes(BLOCK_SIZE)),
-                breakdown=txn.parts,
             )
         self._handle_writebacks(hier.writebacks)
         txn.charge("cache.lookup", hier.latency)
@@ -250,8 +243,11 @@ class SecureProcessor(Component):
         self.cycle += latency
         path = self._classify(outcome.counter_hit, outcome.tree_levels_missed)
         self.stats.count(path)
-        txn.emit("proc", "read", core=core, addr=block, value=float(latency))
-        self._finish(txn, path=path, latency=latency)
+        if self.tracer is not None:
+            self.tracer.emit(
+                "proc", "read", core=core, addr=block, value=float(latency)
+            )
+        self._finish(txn, "read", core, block, path=path, latency=latency)
         return AccessResult(
             latency=self._observed(latency),
             path=path,
@@ -259,7 +255,6 @@ class SecureProcessor(Component):
             counter_hit=outcome.counter_hit,
             tree_levels_missed=outcome.tree_levels_missed,
             data=outcome.plaintext,
-            breakdown=txn.parts,
         )
 
     def write(
@@ -270,22 +265,23 @@ class SecureProcessor(Component):
         self.stats.writes += 1
         block = block_address(addr)
         self._plain[block] = self._coerce_data(block, data)
-        txn = self._begin("write", core, block)
+        txn = self._begin()
         hier = self.caches.access(core, block, is_write=True)
         if hier.hit_level is not None:
             self.cycle += hier.latency
             path = (AccessPath.L1_HIT, AccessPath.L2_HIT, AccessPath.L3_HIT)[
                 hier.hit_level - 1
             ]
-            txn.emit(
-                "proc", "write", core=core, addr=block, value=float(hier.latency)
-            )
+            self.stats.count(path)
+            if self.tracer is not None:
+                self.tracer.emit(
+                    "proc", "write", core=core, addr=block,
+                    value=float(hier.latency),
+                )
             txn.charge(f"cache.l{hier.hit_level}_hit", hier.latency)
-            self._finish(txn, path=path, latency=hier.latency)
-            return AccessResult(
-                latency=hier.latency, path=path, cycle=self.cycle,
-                breakdown=txn.parts,
-            )
+            self._finish(txn, "write", core, block, path=path,
+                         latency=hier.latency)
+            return AccessResult(latency=hier.latency, path=path, cycle=self.cycle)
         self._handle_writebacks(hier.writebacks)
         txn.charge("cache.lookup", hier.latency)
         # Fetch-for-write: the miss path is the same as a read.
@@ -296,15 +292,17 @@ class SecureProcessor(Component):
         self.cycle += latency
         path = self._classify(outcome.counter_hit, outcome.tree_levels_missed)
         self.stats.count(path)
-        txn.emit("proc", "write", core=core, addr=block, value=float(latency))
-        self._finish(txn, path=path, latency=latency)
+        if self.tracer is not None:
+            self.tracer.emit(
+                "proc", "write", core=core, addr=block, value=float(latency)
+            )
+        self._finish(txn, "write", core, block, path=path, latency=latency)
         return AccessResult(
             latency=latency,
             path=path,
             cycle=self.cycle,
             counter_hit=outcome.counter_hit,
             tree_levels_missed=outcome.tree_levels_missed,
-            breakdown=txn.parts,
         )
 
     def write_through(
@@ -315,47 +313,52 @@ class SecureProcessor(Component):
         self.stats.writes += 1
         block = block_address(addr)
         self._plain[block] = self._coerce_data(block, data)
-        txn = self._begin("write_through", core, block)
+        txn = self._begin()
         self.caches.flush(block)  # drop any stale cached copy
         enqueue = self.mee.write_data(block, self._plain[block], self.cycle)
         latency = _STORE_BUFFER_LATENCY + enqueue
         self.cycle += latency
-        txn.emit(
-            "proc", "write_through", core=core, addr=block, value=float(latency)
-        )
+        if self.tracer is not None:
+            self.tracer.emit(
+                "proc", "write_through", core=core, addr=block,
+                value=float(latency),
+            )
         txn.charge("op.store_buffer", _STORE_BUFFER_LATENCY)
         txn.charge("op.enqueue", enqueue)
-        self._finish(txn, path=None, latency=latency)
+        self._finish(txn, "write_through", core, block, path=None,
+                     latency=latency)
         return AccessResult(
-            latency=latency, path=AccessPath.L1_HIT, cycle=self.cycle,
-            breakdown=txn.parts,
+            latency=latency, path=AccessPath.L1_HIT, cycle=self.cycle
         )
 
     def flush(self, addr: int) -> int:
         """clflush: drop the block from every cache; write back if dirty."""
         self.stats.flushes += 1
         block = block_address(addr)
-        txn = self._begin("flush", -1, block)
+        txn = self._begin()
         was_dirty, writebacks = self.caches.flush(block)
         if was_dirty:
             for writeback in writebacks:
                 self._enqueue_data_writeback(writeback)
         self.cycle += _FLUSH_LATENCY
-        txn.emit("proc", "flush", addr=block, value=float(was_dirty))
+        if self.tracer is not None:
+            self.tracer.emit("proc", "flush", addr=block, value=float(was_dirty))
         txn.charge("op.flush", _FLUSH_LATENCY)
-        self._finish(txn, path=None, latency=_FLUSH_LATENCY)
+        self._finish(txn, "flush", -1, block, path=None, latency=_FLUSH_LATENCY)
         return _FLUSH_LATENCY
 
     def drain_writes(self) -> None:
         """Fence: force the MC write queue to service everything queued."""
-        txn = self._begin("drain", -1, None)
-        txn.emit("proc", "drain")
+        txn = self._begin()
+        if self.tracer is not None:
+            self.tracer.emit("proc", "drain")
         self.memctrl.drain(self.cycle)
         self.cycle += _STORE_BUFFER_LATENCY
         # The drain burst itself is posted background work; only the
         # fence's store-buffer cost lands on the issuing core.
         txn.charge("op.store_buffer", _STORE_BUFFER_LATENCY)
-        self._finish(txn, path=None, latency=_STORE_BUFFER_LATENCY)
+        self._finish(txn, "drain", -1, None, path=None,
+                     latency=_STORE_BUFFER_LATENCY)
 
     def timed_read(self, addr: int, *, core: int = 0) -> int:
         """Read and return only the measured latency (rdtscp-style)."""
@@ -403,12 +406,3 @@ class SecureProcessor(Component):
     def architectural_value(self, addr: int) -> bytes:
         """Software-visible value of a block (for test oracles)."""
         return self._plain.get(block_address(addr), bytes(BLOCK_SIZE))
-
-    @property
-    def metadata_cache(self):
-        return self.mee.meta_cache
-
-    @property
-    def tree_metadata_cache(self):
-        """The tree-node cache (same object unless split_metadata_caches)."""
-        return self.mee.tree_cache

@@ -20,7 +20,7 @@ The engine sits between the LLC and the memory controller and implements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config import (
     BLOCK_SIZE,
@@ -65,19 +65,10 @@ class ReadOutcome:
     counter_hit: bool
     tree_levels_missed: int
     plaintext: bytes
-    overflow_stall: int = 0
-    # Critical-path cycle attribution (``repro.perf``): component -> cycles,
-    # summing exactly to ``latency``.  ``shadowed`` holds the cycles of the
-    # fetch that lost the max(data, metadata) overlap race — real work, but
-    # hidden under the critical path, so excluded from the conserved sum.
-    # Both stay ``None`` unless ``read_data(..., breakdown=True)``.
-    breakdown: dict[str, int] | None = None
-    shadowed: dict[str, int] | None = None
 
 
 @dataclass
 class EngineStats:
-    reads: int = 0
     writes_serviced: int = 0
     counter_hits: int = 0
     counter_misses: int = 0
@@ -85,7 +76,6 @@ class EngineStats:
     enc_counter_overflows: int = 0
     tree_counter_overflows: int = 0
     reencrypted_blocks: int = 0
-    tree_levels_missed_histogram: dict[int, int] = field(default_factory=dict)
 
 
 class MemoryEncryptionEngine(Component):
@@ -273,26 +263,18 @@ class MemoryEncryptionEngine(Component):
     # Read path (Figure 5 / Algorithm 2)
     # ------------------------------------------------------------------
 
-    def read_data(
-        self, addr: int, now: int, txn: Txn = NULL_TXN, *, breakdown: bool = False
-    ) -> ReadOutcome:
+    def read_data(self, addr: int, now: int, txn: Txn = NULL_TXN) -> ReadOutcome:
         """Service an LLC-missing read of a protected data block.
 
         ``txn`` is the per-access transaction handed down by the
         processor; while it is profiling, the latency is charged into it
         in per-component parts (the data/metadata fetches overlap, so the
-        losing side of the ``max()`` race lands in the shadowed tally).
-        ``breakdown=True`` is the legacy direct-call form: the engine runs
-        its own transaction and returns the split on the outcome; see
-        :class:`ReadOutcome` and ``docs/performance.md``.
+        losing side of the ``max()`` race lands in the shadowed tally);
+        see ``docs/performance.md``.
         """
         block_addr = block_address(addr)
         if not self.layout.is_protected_data(block_addr):
             raise ValueError(f"address {addr:#x} is not protected data")
-        own = None
-        if breakdown and not txn.profiling:
-            own = txn = Txn("read", addr=block_addr, profiling=True)
-        self.stats.reads += 1
         crypto = self.config.crypto
         cb_addr, cb_index, mac_addr = self.decompose(block_addr)
 
@@ -304,7 +286,6 @@ class MemoryEncryptionEngine(Component):
             data_latency += self.memctrl.read_block(
                 mac_addr, now + data_latency, txn=data
             )
-        stall = max(0, self.memctrl.dram.busy_until(block_addr) - now - data_latency)
 
         meta = txn.leg("meta.")
         counter_hit = self.meta_cache.lookup(cb_addr)
@@ -323,9 +304,6 @@ class MemoryEncryptionEngine(Component):
                 cb_index, cb_addr, now, meta_latency, leg=meta
             )
             extra_crypto = crypto.aes_latency
-        self.stats.tree_levels_missed_histogram[levels_missed] = (
-            self.stats.tree_levels_missed_histogram.get(levels_missed, 0) + 1
-        )
         if self.tracer is not None:
             self.tracer.emit(
                 "mee",
@@ -359,18 +337,11 @@ class MemoryEncryptionEngine(Component):
             txn.shadow(data)
         txn.charge("mee.decrypt", extra_crypto)
         txn.charge("mee.mac", crypto.mac_latency)
-        attributed = shadowed = None
-        if own is not None:
-            attributed = dict(own.parts)
-            shadowed = dict(own.shadowed)
         return ReadOutcome(
             latency=latency,
             counter_hit=counter_hit,
             tree_levels_missed=levels_missed,
             plaintext=plaintext,
-            overflow_stall=stall,
-            breakdown=attributed,
-            shadowed=shadowed,
         )
 
     def _verify_walk(

@@ -36,8 +36,8 @@ class TestLookupInsert:
         assert not cache.lookup(0x1000)
         cache.insert(0x1000)
         assert cache.lookup(0x1000)
-        assert cache.hits == 1
-        assert cache.misses == 1
+        assert cache.counters.get("hits") == 1
+        assert cache.counters.get("misses") == 1
 
     def test_insert_same_block_no_evict(self):
         cache = small_cache()

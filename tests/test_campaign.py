@@ -396,7 +396,9 @@ class TestExecutionPlacement:
     ):
         sleeps = []
         monkeypatch.setattr(engine_mod.time, "sleep", sleeps.append)
-        engine = CampaignEngine(jobs=1)
+        # A fixed git_rev keeps the provenance lookup's ``git`` subprocess
+        # (whose timed wait polls time.sleep) out of the measured window.
+        engine = CampaignEngine(jobs=1, git_rev="test")
         assert engine.run(_tasks([2, 3, 4])).status == "pass"
         assert engine.registry.snapshot()["workers.spawned"] == 0
         assert sleeps == []

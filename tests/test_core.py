@@ -5,7 +5,7 @@ every component exactly once, attach is idempotent, detach restores the
 zero-allocation fast path), the late-created-component regression
 (per-domain integrity trees built after an attach still see the tracer
 and fault hook), shim-vs-generic equivalence, and the source-scan guard
-that keeps instrument threading centralised in ``repro/core``.
+that keeps instrument threading centralised in ``repro/core/component.py``.
 """
 
 from __future__ import annotations
@@ -115,15 +115,21 @@ class TestComponentGraph:
 
     def test_detach_restores_null_txn_fast_path(self):
         proc = _machine()
-        assert proc._begin("read", 0, 0) is NULL_TXN
-        tracer = Tracer()
-        proc.attach(tracer)
-        txn = proc._begin("read", 0, 0)
-        assert txn is not NULL_TXN
-        assert not txn.profiling  # tracer alone builds no parts dict
-        detach(proc, TRACER)
-        assert proc._begin("read", 0, 0) is NULL_TXN
-        assert proc.read(0).breakdown is None
+        assert proc._begin() is NULL_TXN
+        # Tracers and fault hooks reach components through their slots;
+        # they never need a transaction.
+        proc.attach(Tracer())
+        proc.attach(FaultHook())
+        assert proc._begin() is NULL_TXN
+        profiler = CycleAttributor()
+        proc.attach(profiler)
+        txn = proc._begin()
+        assert isinstance(txn, Txn) and txn.profiling
+        assert txn.parts == {} and txn.shadowed == {}
+        detach(proc, PROFILER)
+        assert proc._begin() is NULL_TXN
+        proc.read(0)
+        assert profiler.accesses == 0
 
     def test_detach_clears_instruments_everywhere(self):
         proc = _machine()
@@ -134,7 +140,7 @@ class TestComponentGraph:
         for node in walk(proc):
             assert getattr(node, "tracer", None) is None
         assert proc.profiler is None
-        assert proc._begin("read", 0, 0) is NULL_TXN
+        assert proc._begin() is NULL_TXN
 
     def test_install_fault_hook_spares_data_caches(self):
         """FaultInjector semantics: the MEE shim reaches the memory side
@@ -162,14 +168,15 @@ class TestComponentGraph:
 class TestTxn:
     def test_null_txn_is_inert(self):
         NULL_TXN.charge("x", 5)
-        NULL_TXN.emit("c", "k")
-        NULL_TXN.fault("on_meta_fetch", "counter", 0, 0)
         assert NULL_TXN.leg("data.") is NULL_TXN
+        NULL_TXN.absorb(NULL_TXN)
+        NULL_TXN.shadow(NULL_TXN)
         assert NULL_TXN.parts is None
-        assert not NULL_TXN.recording
+        assert NULL_TXN.shadowed is None
+        assert not NULL_TXN.profiling
 
     def test_charge_prefixes_and_skips_zero(self):
-        txn = Txn("read", profiling=True)
+        txn = Txn()
         txn.charge("a", 3)
         txn.charge("a", 2)
         txn.charge("b", 0)
@@ -185,21 +192,31 @@ class TestTxn:
         assert txn.shadowed == {"data.service": 4}
 
     def test_not_profiling_builds_no_parts(self):
-        txn = Txn("read", tracer=None, profiling=False)
-        txn.charge("a", 3)
-        assert txn.parts is None
-        leg = txn.leg("meta.")
-        assert not leg.profiling
+        """Without a profiler every operation runs on NULL_TXN."""
+        proc = _machine()
+        proc.attach(Tracer())
+        begun = []
+        begin = proc._begin
+
+        def spy():
+            begun.append(begin())
+            return begun[-1]
+
+        proc._begin = spy
+        _workload(proc)
+        assert begun and all(txn is NULL_TXN for txn in begun)
 
     def test_breakdown_conserved_through_txn(self):
         proc = _machine()
-        profiler = CycleAttributor()
+        profiler = CycleAttributor(keep_records=True)
         proc.attach(profiler)
         _workload(proc)
         profiler.verify()
         result = proc.read(0x5000)
-        assert result.breakdown is not None
-        assert sum(result.breakdown.values()) == result.latency
+        record = profiler.records[-1]
+        assert (record.op, record.addr) == ("read", 0x5000)
+        assert record.parts
+        assert sum(record.parts.values()) == record.latency == result.latency
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +275,7 @@ class TestShimEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Source-scan guard: no manual instrument threading outside repro/core
+# Source-scan guard: no manual instrument threading outside component.py
 # ----------------------------------------------------------------------
 
 _THREADING_GUARD = re.compile(r"\.(tracer|fault_hook)\s*=(?!=)")
@@ -272,10 +289,10 @@ def test_no_manual_instrument_threading_outside_core():
     instead of assigning ``.tracer`` / ``.fault_hook`` by hand.
     """
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
-    core = src / "core"
+    graph = src / "core" / "component.py"
     offenders: list[str] = []
     for path in sorted(src.rglob("*.py")):
-        if core in path.parents:
+        if path == graph:
             continue
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             if _THREADING_GUARD.search(line):
@@ -283,6 +300,6 @@ def test_no_manual_instrument_threading_outside_core():
                     f"{path.relative_to(src)}:{lineno}: {line.strip()}"
                 )
     assert not offenders, (
-        "manual instrument threading outside repro/core:\n"
+        "manual instrument threading outside repro/core/component.py:\n"
         + "\n".join(offenders)
     )

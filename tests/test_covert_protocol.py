@@ -49,7 +49,7 @@ class TestChannelTEdgeCases:
     def test_distinct_metadata_sets_for_tx_and_bd(self):
         proc, alloc = make_env()
         channel = CovertChannelT(proc, alloc)
-        tree_cache = proc.tree_metadata_cache
+        tree_cache = proc.mee.tree_cache
         assert tree_cache.set_index_of(
             channel.tx_monitor.node_addr
         ) != tree_cache.set_index_of(channel.bd_monitor.node_addr)

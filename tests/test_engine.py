@@ -46,7 +46,7 @@ class TestAccessPaths:
         proc.flush(0x40000)
         # Evict just the counter block from the metadata cache.
         cb_addr = proc.layout.counter_block_addr(0x40000)
-        proc.metadata_cache.invalidate(cb_addr)
+        proc.mee.meta_cache.invalidate(cb_addr)
         result = proc.read(0x40000)
         assert result.path is AccessPath.MEM_TREE_HIT
         assert result.tree_levels_missed == 0
@@ -60,15 +60,15 @@ class TestAccessPaths:
         proc.flush(0x40000)
         lat["path2"] = proc.read(0x40000).latency
         proc.flush(0x40000)
-        proc.metadata_cache.invalidate(proc.layout.counter_block_addr(0x40000))
+        proc.mee.meta_cache.invalidate(proc.layout.counter_block_addr(0x40000))
         lat["path3"] = proc.read(0x40000).latency
         assert lat["l1"] < lat["path2"] < lat["path3"] < lat["path4"]
 
     def test_partial_tree_miss_between_path3_and_path4(self, proc):
         proc.read(0x40000)
         proc.flush(0x40000)
-        proc.metadata_cache.invalidate(proc.layout.counter_block_addr(0x40000))
-        proc.metadata_cache.invalidate(proc.layout.node_addr_for_data(0x40000, 0))
+        proc.mee.meta_cache.invalidate(proc.layout.counter_block_addr(0x40000))
+        proc.mee.meta_cache.invalidate(proc.layout.node_addr_for_data(0x40000, 0))
         result = proc.read(0x40000)
         assert result.path is AccessPath.MEM_TREE_MISS
         assert result.tree_levels_missed == 1

@@ -54,7 +54,7 @@ class TestLeafCountingProperty:
                 }
                 for cb in cb_indexes:
                     cb_addr = proc.layout.counter_block_addr_of_index(cb)
-                    if proc.metadata_cache.is_dirty(cb_addr):
+                    if proc.mee.meta_cache.is_dirty(cb_addr):
                         writebacks[cb] = writebacks.get(cb, 0) + 1
                 proc.mee.flush_metadata_cache(proc.cycle)
                 del before
@@ -94,12 +94,12 @@ class TestCacheCapacityProperty:
     @settings(max_examples=15, deadline=None)
     def test_metadata_cache_bounded_under_traffic(self, block_ids):
         proc = make_proc()
-        limit = proc.metadata_cache.num_sets * proc.metadata_cache.ways
+        limit = proc.mee.meta_cache.num_sets * proc.mee.meta_cache.ways
         for block_id in block_ids:
             addr = (block_id * 64) % proc.layout.data_size
             proc.flush(addr)
             proc.read(addr)
-            assert proc.metadata_cache.occupancy() <= limit
+            assert proc.mee.meta_cache.occupancy() <= limit
 
 
 class TestDomainIsolationProperty:

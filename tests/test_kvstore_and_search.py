@@ -79,14 +79,14 @@ class TestEvictionSetSearch:
         assert search.verify(minimal, trials=3) == 1.0
         # ...and every member must genuinely alias the leaf's cache set.
         leaf = proc.layout.node_addr_for_data(target, 0)
-        target_set = proc.metadata_cache.set_index_of(leaf)
+        target_set = proc.mee.meta_cache.set_index_of(leaf)
         for frame in minimal:
             addr = frame * PAGE_SIZE
             path = [proc.layout.counter_block_addr(addr)] + [
                 proc.layout.node_addr_for_data(addr, level) for level in range(6)
             ]
             assert any(
-                proc.metadata_cache.set_index_of(meta) == target_set
+                proc.mee.meta_cache.set_index_of(meta) == target_set
                 for meta in path
             )
 

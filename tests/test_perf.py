@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.config import MIB, PAGE_SIZE, preset_config
+from repro.core import NULL_TXN
 from repro.perf import (
     AttributionError,
     CycleAttributor,
@@ -95,15 +96,18 @@ class TestConservation:
         """With no profiler attached, no breakdowns are built at all."""
         proc = _machine("sct")
         assert proc.profiler is None
-        result = proc.read(8 * PAGE_SIZE)
-        assert result.breakdown is None
+        assert proc._begin() is NULL_TXN
+        proc.read(8 * PAGE_SIZE)
+        assert proc._begin() is NULL_TXN
 
     def test_breakdown_matches_result_latency(self):
         proc = _machine("sct")
-        proc.attach(CycleAttributor())
+        attributor = CycleAttributor(keep_records=True)
+        proc.attach(attributor)
         result = proc.read(8 * PAGE_SIZE)
-        assert result.breakdown is not None
-        assert sum(result.breakdown.values()) == result.latency
+        record = attributor.records[-1]
+        assert record.parts
+        assert sum(record.parts.values()) == record.latency == result.latency
 
 
 class TestReports:

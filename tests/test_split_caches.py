@@ -29,23 +29,23 @@ def split_machine(protected_size=1 * GIB):
 class TestSplitStructure:
     def test_distinct_cache_objects(self):
         proc, _ = split_machine()
-        assert proc.tree_metadata_cache is not proc.metadata_cache
+        assert proc.mee.tree_cache is not proc.mee.meta_cache
 
     def test_combined_default_shares_object(self):
         proc = SecureProcessor(
             SecureProcessorConfig.sct_default(protected_size=64 * 1024 * 1024)
         )
-        assert proc.tree_metadata_cache is proc.metadata_cache
+        assert proc.mee.tree_cache is proc.mee.meta_cache
 
     def test_blocks_land_in_their_cache(self):
         proc, _ = split_machine()
         proc.read(0x40000)
         counter_addr = proc.layout.counter_block_addr(0x40000)
         node_addr = proc.layout.node_addr_for_data(0x40000, 0)
-        assert proc.metadata_cache.contains(counter_addr)
-        assert not proc.metadata_cache.contains(node_addr)
-        assert proc.tree_metadata_cache.contains(node_addr)
-        assert not proc.tree_metadata_cache.contains(counter_addr)
+        assert proc.mee.meta_cache.contains(counter_addr)
+        assert not proc.mee.meta_cache.contains(node_addr)
+        assert proc.mee.tree_cache.contains(node_addr)
+        assert not proc.mee.tree_cache.contains(counter_addr)
 
     def test_roundtrip_still_correct(self):
         proc, _ = split_machine()
@@ -69,7 +69,7 @@ class TestSplitEviction:
         proc, allocator = split_machine()
         evictor = MetadataEvictor(proc, allocator, core=1)
         mapper = evictor.mapper
-        tree_cache = proc.tree_metadata_cache
+        tree_cache = proc.mee.tree_cache
         node_addr = proc.layout.node_addr_for_data(0x40000, 0)
         target_set = tree_cache.set_index_of(node_addr)
         count = 0
