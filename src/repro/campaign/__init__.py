@@ -5,12 +5,12 @@ campaigns, leakcheck seed-sweeps, the bench suite — is a batch of
 independent seeded runs.  This package executes such batches through
 one scheduler with deterministic results (serial and ``--jobs N`` runs
 are byte-identical), bounded retries with full-jitter backoff and
-reseeding, per-task timeouts that kill the work they time out, and a
-JSON manifest checkpointing every landed task for ``--resume``.  It
-reaps crashed or hung workers and retries their tasks, and memoises
-every successful run in a sqlite campaign DB keyed by config hash +
-git revision so unchanged re-runs are served from cache.  See
-``docs/robustness.md``.
+reseeding, and per-task timeouts that kill the work they time out.  It
+reaps crashed or hung workers and retries their tasks, and records
+every task outcome in a sqlite campaign DB keyed by config hash + git
+revision.  That DB is the only record of finished work: rerunning an
+interrupted or partly failed campaign serves what already succeeded
+from it and executes only the rest.  See ``docs/robustness.md``.
 """
 
 from repro.campaign.db import CampaignDB, JobRow, RunRow, config_hash
@@ -20,7 +20,7 @@ from repro.campaign.payload import (
     decode_payload,
     encode_payload,
 )
-from repro.campaign.records import BatchReport, TaskRecord, load_manifest
+from repro.campaign.records import BatchReport, TaskRecord
 from repro.campaign.worker import TEST_CRASH_ENV, TEST_CRASH_EXIT, TaskTimeout
 
 __all__ = [
@@ -38,5 +38,4 @@ __all__ = [
     "config_hash",
     "decode_payload",
     "encode_payload",
-    "load_manifest",
 ]

@@ -2,9 +2,10 @@
 
 The coordinator runs :class:`CampaignTask` specs through one scheduler
 loop and aggregates the outcomes into :class:`~repro.campaign.records.
-TaskRecord` / :class:`~repro.campaign.records.BatchReport`, checkpointing
-the JSON manifest after every landed task so ``--resume`` picks up where
-an interrupted batch stopped.
+TaskRecord` / :class:`~repro.campaign.records.BatchReport`.  The
+campaign DB is the only record of finished work, so resuming an
+interrupted batch is rerunning it: every task that already succeeded is
+served from the DB and only the rest execute.
 
 Where an attempt runs follows from the engine's own settings:
 
@@ -70,8 +71,6 @@ from repro.campaign.records import (
     BatchReport,
     TaskRecord,
     _accepts_seed,
-    load_manifest,
-    write_manifest,
 )
 from repro.campaign.worker import alarm_available, execute_task, worker_main
 from repro.trace.counters import CounterRegistry
@@ -220,7 +219,6 @@ class _Worker:
 class _Batch:
     """Scheduler state of one :meth:`CampaignEngine.run` call."""
 
-    manifest: dict[str, TaskRecord]
     on_record: Callable[[TaskRecord], None] | None
     results: dict[str, TaskRecord] = field(default_factory=dict)
     pending: list[_TaskState] = field(default_factory=list)
@@ -241,8 +239,6 @@ class CampaignEngine:
         reseed_base: int | None = None,
         db: CampaignDB | str | os.PathLike[str] | None = None,
         use_cache: bool = True,
-        manifest_path: str | os.PathLike[str] | None = None,
-        resume: bool = False,
         fail_fast: bool = False,
         heartbeat_timeout: float = 30.0,
         registry: CounterRegistry | None = None,
@@ -266,8 +262,6 @@ class CampaignEngine:
         self.reseed_base = reseed_base
         self.db = CampaignDB(db) if isinstance(db, (str, os.PathLike)) else db
         self.use_cache = use_cache
-        self.manifest_path = manifest_path
-        self.resume = resume
         self.fail_fast = fail_fast
         self.heartbeat_timeout = heartbeat_timeout
         self.git_rev = git_rev if git_rev is not None else _git_rev()
@@ -306,7 +300,6 @@ class CampaignEngine:
         self._c_cache_hits = cache_reg.counter("hits")
         self._c_cache_misses = cache_reg.counter("misses")
         self._c_cache_stores = cache_reg.counter("stores")
-        self._c_manifest_hits = cache_reg.counter("manifest_hits")
         self._c_uncacheable = cache_reg.counter("uncacheable")
         worker_reg = CounterRegistry()
         self.registry.mount("workers", worker_reg)
@@ -332,23 +325,9 @@ class CampaignEngine:
             attrs={"jobs": self.jobs, "tasks": len(tasks)},
         )
         with run_span:
-            manifest: dict[str, TaskRecord] = {}
-            if self.manifest_path is not None and self.resume:
-                manifest = load_manifest(self.manifest_path)
-            batch = _Batch(manifest=manifest, on_record=on_record)
+            batch = _Batch(on_record=on_record)
             tracing = obs.active() is not None
             for task in tasks:
-                previous = manifest.get(task.name)
-                if previous is not None and previous.ok:
-                    previous.cached = True
-                    self._c_manifest_hits.incr()
-                    self._land(batch, previous, persist=False)
-                    if tracing:
-                        obs.start_span(
-                            "campaign.task", kind="campaign.task",
-                            attrs={"task": task.name, "cache": "manifest"},
-                        ).end(STATUS_OK)
-                    continue
                 cached = self._cache_lookup(task)
                 if cached is not None:
                     self._land(batch, cached, persist=False)
@@ -374,8 +353,7 @@ class CampaignEngine:
             report.records = [batch.results[name] for name in names]
             run_span.set_many({
                 "executed": int(self._c_executed.value),
-                "cached": int(self._c_cache_hits.value
-                              + self._c_manifest_hits.value),
+                "cached": int(self._c_cache_hits.value),
                 "failed": int(self._c_failed.value + self._c_timeout.value),
                 "retries": int(self._c_retries.value),
             })
@@ -384,7 +362,7 @@ class CampaignEngine:
     def summary_line(self) -> str:
         """One-line campaign tally for CLI output (and CI grepping)."""
         total = int(self._c_tasks.value)
-        cached = int(self._c_cache_hits.value + self._c_manifest_hits.value)
+        cached = int(self._c_cache_hits.value)
         executed = int(self._c_executed.value)
         failed = int(self._c_failed.value + self._c_timeout.value)
         parts = [
@@ -466,7 +444,7 @@ class CampaignEngine:
         persist: bool,
         task: CampaignTask | None = None,
     ) -> None:
-        """Finalize one record: counters, campaign DB, manifest, callback."""
+        """Finalize one record: counters, campaign DB, callback."""
         batch.results[record.name] = record
         if record.queued_at and record.started_at:
             self._queue_waits.append(record.queue_wait)
@@ -512,9 +490,6 @@ class CampaignEngine:
             )
             if payload is not None:
                 self._c_cache_stores.incr()
-        batch.manifest[record.name] = record
-        if self.manifest_path is not None:
-            write_manifest(self.manifest_path, batch.manifest)
         if batch.on_record is not None:
             batch.on_record(record)
 
@@ -577,7 +552,7 @@ class CampaignEngine:
                     if self._interrupted:
                         # Interrupt also abandons in-flight work: kill
                         # the workers and land cancelled records so the
-                        # manifest reflects exactly what completed.
+                        # campaign DB reflects exactly what completed.
                         for worker in list(batch.workers):
                             state, worker.state = worker.state, None
                             if state is not None:
@@ -607,7 +582,7 @@ class CampaignEngine:
                 except (ValueError, OSError):  # pragma: no cover
                     pass
         if self._interrupted:
-            # Workers reaped, records landed, manifest flushed — now
+            # Workers reaped and records landed — now
             # surface the interrupt the way callers expect.
             raise KeyboardInterrupt
 

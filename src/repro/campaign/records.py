@@ -1,24 +1,19 @@
-"""Task outcome records and the JSON checkpoint manifest.
+"""Task outcome records.
 
 Every campaign task ends as one :class:`TaskRecord`; a batch is a
-:class:`BatchReport`.  The manifest is written atomically (temp file +
-``os.replace``) after *every* landed task, so a crash at any point
-leaves a loadable checkpoint and ``--resume`` reruns only what is not
-already ``ok``.
+:class:`BatchReport`.  The campaign DB (:mod:`repro.campaign.db`) is the
+only persistent record of finished work: rerunning a campaign serves
+every task that already succeeded at the same git revision from it.
 """
 
 from __future__ import annotations
 
 import inspect
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-MANIFEST_VERSION = 1
-
 # Record statuses a task can end in.  ``ok`` counts as success whether it
-# ran now or was restored from the manifest (``cached`` flag tells them
+# ran now or was served from the campaign DB (``cached`` flag tells them
 # apart); everything else is some flavour of not-done.
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -28,7 +23,8 @@ STATUS_SKIPPED = "skipped"
 
 @dataclass
 class TaskRecord:
-    """Structured outcome of one task (what the manifest persists)."""
+    """Structured outcome of one task (the campaign DB persists its
+    terminal status and, on success, its result)."""
 
     name: str
     status: str
@@ -37,14 +33,14 @@ class TaskRecord:
     error: str = ""
     detail: str = ""  # traceback tail for failures
     seed: int | None = None  # reseed used by the successful/last attempt
-    cached: bool = False  # restored from a previous run's manifest
+    cached: bool = False  # served from the campaign DB, not executed
     # Wall-clock lifecycle (epoch seconds; 0.0 = not recorded).  queue-wait
     # is started_at - queued_at; the span layer reads these rather than
     # re-deriving them from its own clocks.
     queued_at: float = 0.0
     started_at: float = 0.0
     finished_at: float = 0.0
-    result: Any = None  # in-memory only, never serialised
+    result: Any = None
 
     @property
     def ok(self) -> bool:
@@ -56,35 +52,6 @@ class TaskRecord:
         if self.queued_at and self.started_at:
             return max(0.0, self.started_at - self.queued_at)
         return 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "attempts": self.attempts,
-            "elapsed": round(self.elapsed, 3),
-            "error": self.error,
-            "detail": self.detail,
-            "seed": self.seed,
-            "queued_at": round(self.queued_at, 3),
-            "started_at": round(self.started_at, 3),
-            "finished_at": round(self.finished_at, 3),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TaskRecord":
-        return cls(
-            name=str(data.get("name", "")),
-            status=str(data.get("status", STATUS_FAILED)),
-            attempts=int(data.get("attempts", 0)),
-            elapsed=float(data.get("elapsed", 0.0)),
-            error=str(data.get("error", "")),
-            detail=str(data.get("detail", "")),
-            seed=data.get("seed"),
-            queued_at=float(data.get("queued_at", 0.0)),
-            started_at=float(data.get("started_at", 0.0)),
-            finished_at=float(data.get("finished_at", 0.0)),
-        )
 
 
 @dataclass
@@ -133,39 +100,6 @@ class BatchReport:
                 f"attempts={record.attempts} {record.elapsed:.1f}s{flags}{tail}"
             )
         return "\n".join(lines)
-
-
-def load_manifest(path: str | os.PathLike[str]) -> dict[str, TaskRecord]:
-    """Load a checkpoint manifest; missing/corrupt files load as empty."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(data, dict) or data.get("version") != MANIFEST_VERSION:
-        return {}
-    tasks = data.get("tasks", {})
-    records: dict[str, TaskRecord] = {}
-    if isinstance(tasks, dict):
-        for name, entry in tasks.items():
-            if isinstance(entry, dict):
-                entry = dict(entry, name=name)
-                records[name] = TaskRecord.from_dict(entry)
-    return records
-
-
-def write_manifest(
-    path: str | os.PathLike[str], records: dict[str, TaskRecord]
-) -> None:
-    payload = {
-        "version": MANIFEST_VERSION,
-        "tasks": {name: record.to_dict() for name, record in records.items()},
-    }
-    tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
 
 
 def _accepts_seed(fn: Callable[..., Any]) -> bool:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 
 BLOCK_SIZE = 64
 PAGE_SIZE = 4096
-BLOCKS_PER_PAGE = PAGE_SIZE // BLOCK_SIZE
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -97,9 +96,12 @@ class DramConfig:
 
 @dataclass(frozen=True)
 class MemCtrlConfig:
-    """Memory-controller queues (Table I: 64 RD & WR queue, FR-FCFS)."""
+    """Memory-controller write queue (Table I: 64 RD & WR queue, FR-FCFS).
 
-    read_queue_entries: int = 64
+    Reads are not queued (they wait only for their bank), so only the
+    write queue is modelled.
+    """
+
     write_queue_entries: int = 64
     write_merge: bool = True
     # Fraction of the write queue that, once exceeded, forces a drain burst
@@ -135,8 +137,6 @@ class CounterConfig:
     scheme: CounterScheme = CounterScheme.SPLIT
     major_bits: int = 64
     minor_bits: int = 7
-    # Blocks sharing one major counter in SC mode: one physical page.
-    group_blocks: int = BLOCKS_PER_PAGE
     # Width of the single counter in GC/MoC mode.
     monolithic_bits: int = 64
 
@@ -166,22 +166,6 @@ class TreeConfig:
     @property
     def minor_max(self) -> int:
         return (1 << self.minor_bits) - 1
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Background interference injected between attack rounds.
-
-    ``meta_disturb_rate`` is the per-round probability that co-running
-    traffic touches the metadata-cache set (or counter) the attacker relies
-    on, flipping one observation.  ``jitter_cycles`` adds symmetric timing
-    noise to every measured latency.  Defaults are calibrated so the headline
-    experiments land near the paper's reported accuracies.
-    """
-
-    meta_disturb_rate: float = 0.0
-    jitter_cycles: int = 0
-    seed_label: str = "noise"
 
 
 @dataclass(frozen=True)

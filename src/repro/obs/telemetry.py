@@ -126,54 +126,47 @@ def fleet_prometheus_text(summary: FleetSummary,
                           namespace: str = "repro_obs") -> str:
     """Render a summary in Prometheus text format under ``repro_obs_*``.
 
-    Uses the shared label-escaping helpers from :mod:`repro.perf.metrics`
-    so kind labels with quotes/backslashes/newlines stay well-formed.
+    The families are plain data rendered by the same
+    :func:`repro.perf.metrics.render_families` every other ``/metrics``
+    section uses, so kind labels with quotes/backslashes/newlines stay
+    well-formed.
     """
-    from repro.perf.metrics import prom_header, prom_sample
+    from repro.perf.metrics import MetricFamily, render_families
 
-    lines: list[str] = []
-    lines += prom_header(f"{namespace}_spans_total", "counter",
-                         "Finished spans in this summary window.")
-    lines.append(prom_sample(f"{namespace}_spans_total", None, summary.spans))
-    lines += prom_header(f"{namespace}_traces_total", "counter",
-                         "Distinct trace ids seen.")
-    lines.append(prom_sample(f"{namespace}_traces_total", None, summary.traces))
-    lines += prom_header(f"{namespace}_retries_total", "counter",
-                         "Task attempts beyond the first.")
-    lines.append(prom_sample(f"{namespace}_retries_total", None, summary.retries))
-    lines += prom_header(f"{namespace}_cache_hits_total", "counter",
-                         "Spans served from a cache.")
-    lines.append(prom_sample(f"{namespace}_cache_hits_total", None,
-                             summary.cache_hits))
-    lines += prom_header(f"{namespace}_stragglers_total", "counter",
-                         "Spans slower than straggler-factor x kind median.")
-    lines.append(prom_sample(f"{namespace}_stragglers_total", None,
-                             len(summary.stragglers)))
-    lines += prom_header(f"{namespace}_queue_wait_seconds_max", "gauge",
-                         "Longest observed queue-wait phase.")
-    lines.append(prom_sample(f"{namespace}_queue_wait_seconds_max", None,
-                             round(summary.queue_wait_max_s, 6)))
-
-    lines += prom_header(f"{namespace}_outcome_total", "counter",
-                         "Finished spans by outcome.")
-    for outcome, count in sorted(summary.outcomes.items()):
-        lines.append(prom_sample(f"{namespace}_outcome_total",
-                                 {"outcome": outcome}, count))
-
-    lines += prom_header(f"{namespace}_phase_seconds", "gauge",
-                         "Per-kind span latency quantiles.")
-    for kind, stats in summary.phases.items():
-        for quantile, value in (("0.5", stats.p50_s), ("0.95", stats.p95_s),
-                                ("max", stats.max_s)):
-            lines.append(prom_sample(
-                f"{namespace}_phase_seconds",
-                {"kind": kind, "quantile": quantile}, round(value, 6)))
-    lines += prom_header(f"{namespace}_phase_spans_total", "counter",
-                         "Finished spans per kind.")
-    for kind, stats in summary.phases.items():
-        lines.append(prom_sample(f"{namespace}_phase_spans_total",
-                                 {"kind": kind}, stats.count))
-    return "\n".join(lines) + "\n"
+    ns = namespace
+    phases = summary.phases.items()
+    return render_families([
+        MetricFamily(f"{ns}_spans_total", "counter",
+                     "Finished spans in this summary window.",
+                     [(None, summary.spans)]),
+        MetricFamily(f"{ns}_traces_total", "counter",
+                     "Distinct trace ids seen.", [(None, summary.traces)]),
+        MetricFamily(f"{ns}_retries_total", "counter",
+                     "Task attempts beyond the first.",
+                     [(None, summary.retries)]),
+        MetricFamily(f"{ns}_cache_hits_total", "counter",
+                     "Spans served from a cache.", [(None, summary.cache_hits)]),
+        MetricFamily(f"{ns}_stragglers_total", "counter",
+                     "Spans slower than straggler-factor x kind median.",
+                     [(None, len(summary.stragglers))]),
+        MetricFamily(f"{ns}_queue_wait_seconds_max", "gauge",
+                     "Longest observed queue-wait phase.",
+                     [(None, round(summary.queue_wait_max_s, 6))]),
+        MetricFamily(f"{ns}_outcome_total", "counter",
+                     "Finished spans by outcome.",
+                     [({"outcome": outcome}, count)
+                      for outcome, count in sorted(summary.outcomes.items())]),
+        MetricFamily(f"{ns}_phase_seconds", "gauge",
+                     "Per-kind span latency quantiles.",
+                     [({"kind": kind, "quantile": quantile}, round(value, 6))
+                      for kind, stats in phases
+                      for quantile, value in (("0.5", stats.p50_s),
+                                              ("0.95", stats.p95_s),
+                                              ("max", stats.max_s))]),
+        MetricFamily(f"{ns}_phase_spans_total", "counter",
+                     "Finished spans per kind.",
+                     [({"kind": kind}, stats.count) for kind, stats in phases]),
+    ])
 
 
 def render_report(summary: FleetSummary, *, top: int = 5) -> str:

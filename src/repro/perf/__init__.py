@@ -5,7 +5,7 @@ Three pillars (see ``docs/performance.md``):
 * :mod:`repro.perf.attribution` — :class:`CycleAttributor`, an exact
   (conservation-checked) per-component latency profiler with hierarchical
   reports and flamegraph-ready collapsed-stack export;
-* :mod:`repro.perf.metrics` — Prometheus-text / JSON exporters over the
+* :mod:`repro.perf.metrics` — the Prometheus text renderer over the
   counter registry, plus :class:`MetricsSampler` for time series over
   simulated cycles;
 * :mod:`repro.perf.bench` — the ``repro bench`` scenario suite with
@@ -29,8 +29,6 @@ from repro.perf.bench import (
 )
 from repro.perf.metrics import (
     MetricsSampler,
-    metrics_dict,
-    metrics_json,
     prometheus_text,
 )
 
@@ -44,8 +42,6 @@ __all__ = [
     "PathProfile",
     "compare",
     "load_result",
-    "metrics_dict",
-    "metrics_json",
     "prometheus_text",
     "run_scenario",
     "scenario_names",

@@ -1,14 +1,13 @@
-"""Metrics export: Prometheus text format, JSON, and periodic sampling.
+"""Metrics export: Prometheus text format and periodic sampling.
 
-Two stateless exporters flatten a :class:`~repro.trace.counters.
-CounterRegistry` into interchange formats:
-
-* :func:`prometheus_text` emits the Prometheus text exposition format
-  (``# TYPE`` lines, sanitised metric names, counters suffixed ``_total``)
-  so a scrape of a long-running simulation can be pasted straight into
-  promtool or a pushgateway;
-* :func:`metrics_dict` / :func:`metrics_json` produce the same data as a
-  plain mapping / JSON document for ad-hoc tooling.
+:func:`render_families` is the one Prometheus text renderer: it turns
+:class:`MetricFamily` data (``# HELP`` + ``# TYPE`` preamble, then one
+escaped sample line per label set) into the text exposition format.
+:func:`prometheus_text` feeds it a :class:`~repro.trace.counters.
+CounterRegistry` (sanitised metric names, counters suffixed ``_total``)
+so a scrape of a long-running simulation can be pasted straight into
+promtool or a pushgateway; the fleet telemetry in :mod:`repro.obs`
+feeds it span rollups.
 
 :class:`MetricsSampler` turns the registry into a time series over
 *simulated* cycles: attach it to a processor with ``proc.attach`` and
@@ -23,6 +22,7 @@ from __future__ import annotations
 import json
 import pathlib
 import re
+from typing import NamedTuple
 
 from repro.trace.counters import CounterRegistry
 
@@ -67,43 +67,48 @@ def prom_sample(name: str, labels: dict[str, str] | None, value: float) -> str:
     return f"{name}{{{rendered}}} {_prom_value(value)}"
 
 
-def prom_header(name: str, kind: str, help_text: str) -> list[str]:
-    """The ``# HELP`` + ``# TYPE`` preamble for one metric family.
+class MetricFamily(NamedTuple):
+    """One metric family: its name, type, help text and samples.
 
-    HELP text uses the same escaping rules as the format mandates for
-    help lines (backslash and newline; quotes are legal verbatim there).
+    Each sample is ``(labels, value)``; ``labels`` is ``None`` for an
+    unlabelled sample.  A family with no samples still renders its
+    preamble.
     """
-    escaped = help_text.replace("\\", "\\\\").replace("\n", "\\n")
-    return [f"# HELP {name} {escaped}", f"# TYPE {name} {kind}"]
+
+    name: str
+    kind: str
+    help_text: str
+    samples: list[tuple[dict[str, str] | None, float]]
+
+
+def render_families(families: list[MetricFamily]) -> str:
+    """Render metric families in the Prometheus text exposition format.
+
+    Every family — gauges included — gets both a ``# HELP`` and a
+    ``# TYPE`` line, so downstream scrapers that key on HELP for family
+    boundaries parse gauges the same way they parse counters.  HELP text
+    is escaped as the format mandates for help lines (backslash and
+    newline; quotes are legal verbatim there).
+    """
+    lines: list[str] = []
+    for family in families:
+        escaped = family.help_text.replace("\\", "\\\\").replace("\n", "\\n")
+        lines.append(f"# HELP {family.name} {escaped}")
+        lines.append(f"# TYPE {family.name} {family.kind}")
+        lines += [prom_sample(family.name, labels, value)
+                  for labels, value in family.samples]
+    return "\n".join(lines) + "\n"
 
 
 def prometheus_text(
     registry: CounterRegistry, *, namespace: str = "repro"
 ) -> str:
-    """Render the registry in the Prometheus text exposition format.
-
-    Every metric family — gauges included — gets both a ``# HELP`` and a
-    ``# TYPE`` line, so downstream scrapers that key on HELP for family
-    boundaries parse gauges the same way they parse counters.
-    """
-    lines: list[str] = []
-    for path, kind, value in sorted(registry.items()):
-        name = _prom_name(path, kind, namespace)
-        lines += prom_header(name, kind, f"repro {kind} {path}")
-        lines.append(prom_sample(name, None, value))
-    return "\n".join(lines) + "\n"
-
-
-def metrics_dict(registry: CounterRegistry) -> dict[str, dict[str, float]]:
-    """Registry contents as ``{"counters": {...}, "gauges": {...}}``."""
-    out: dict[str, dict[str, float]] = {"counters": {}, "gauges": {}}
-    for path, kind, value in registry.items():
-        out[f"{kind}s"][path] = value
-    return out
-
-
-def metrics_json(registry: CounterRegistry, *, indent: int = 2) -> str:
-    return json.dumps(metrics_dict(registry), indent=indent, sort_keys=True)
+    """Render the registry in the Prometheus text exposition format."""
+    return render_families([
+        MetricFamily(_prom_name(path, kind, namespace), kind,
+                     f"repro {kind} {path}", [(None, value)])
+        for path, kind, value in sorted(registry.items())
+    ])
 
 
 class MetricsSampler:

@@ -24,7 +24,6 @@ from repro.campaign import (
     config_hash,
     decode_payload,
     encode_payload,
-    load_manifest,
 )
 from repro.campaign import engine as engine_mod
 from repro.campaign.engine import _fn_resolvable
@@ -456,18 +455,6 @@ class TestEngineDegradations:
         assert record.ok
         assert record.result is None
         assert "not transferable" in record.detail
-
-    def test_manifest_resume_takes_precedence_over_execution(self, tmp_path):
-        manifest = tmp_path / "manifest.json"
-        engine = CampaignEngine(jobs=1, manifest_path=manifest)
-        assert engine.run(_tasks([2])).status == "pass"
-        assert load_manifest(manifest)["compute_2"].ok
-
-        resumed = CampaignEngine(jobs=1, manifest_path=manifest, resume=True)
-        report = resumed.run(_tasks([2]))
-        assert report.records[0].cached
-        assert int(resumed.registry.counter("executed").value) == 0
-        assert resumed.registry.snapshot()["cache.manifest_hits"] == 1
 
     def test_duplicate_task_names_are_rejected(self):
         with pytest.raises(ValueError, match="unique"):

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import time
+
 import pytest
 
 from repro.cli import _FIGURE_DOC, _QUICK_KWARGS, build_parser, main
@@ -59,15 +61,51 @@ class TestCommands:
         assert "invalid choice" in capsys.readouterr().err
 
 
-def _fake_figure(label="fake"):
+# Fake figures live at module level so the campaign DB can resolve them
+# by name: a rerun of the same command is served from it.
+
+
+def _stub_figure(label="fake", **_kwargs):
     from repro.analysis.report import FigureResult
 
-    def figure(**_kwargs):
-        result = FigureResult(figure=label, title="stub")
-        result.add("value", 1)
-        return result
+    result = FigureResult(figure=label, title="stub")
+    result.add("value", 1)
+    return result
 
-    return figure
+
+def _crashing_figure(**_kwargs):
+    raise RuntimeError("forced crash")
+
+
+def _slow_figure(**_kwargs):
+    time.sleep(3)
+
+
+#: Figures the tracked fakes ran, in order, and those made to fail.
+_RAN: list[str] = []
+_BROKEN: set[str] = set()
+
+
+def _tracked(name):
+    _RAN.append(name)
+    if name in _BROKEN:
+        raise RuntimeError("still broken")
+    return _stub_figure(name)
+
+
+def _tracked_fig6(**_kwargs):
+    return _tracked("fig6")
+
+
+def _tracked_fig8(**_kwargs):
+    return _tracked("fig8")
+
+
+def _statuses(out_dir):
+    from repro.campaign import CampaignDB
+
+    with CampaignDB(out_dir / "campaign.sqlite") as db:
+        return {row.name: row.status for row in db.runs()}
 
 
 class TestHardenedFigureRuns:
@@ -77,15 +115,10 @@ class TestHardenedFigureRuns:
         self, capsys, tmp_path, monkeypatch
     ):
         from repro.analysis import figures as figures_mod
-        from repro.campaign import load_manifest
 
-        monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig6", _fake_figure())
-        monkeypatch.setitem(
-            figures_mod.ALL_FIGURES,
-            "fig8",
-            lambda **_kw: (_ for _ in ()).throw(RuntimeError("forced crash")),
-        )
-        monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig14", _fake_figure())
+        monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig6", _stub_figure)
+        monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig8", _crashing_figure)
+        monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig14", _stub_figure)
         code = main(
             ["figures", "fig6", "fig8", "fig14", "--out", str(tmp_path)]
         )
@@ -96,9 +129,9 @@ class TestHardenedFigureRuns:
         # The figures around the failure still completed and were written.
         assert (tmp_path / "fig6.txt").exists()
         assert (tmp_path / "fig14.txt").exists()
-        records = load_manifest(tmp_path / "manifest.json")
-        assert records["fig8"].status == "failed"
-        assert records["fig6"].ok and records["fig14"].ok
+        assert _statuses(tmp_path) == {
+            "fig6": "ok", "fig8": "failed", "fig14": "ok"}
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_resume_reruns_only_the_failure(
         self, capsys, tmp_path, monkeypatch
@@ -106,47 +139,55 @@ class TestHardenedFigureRuns:
         from repro.analysis import figures as figures_mod
 
         ran = []
-
-        def tracked(name, fail=False):
-            def figure(**_kwargs):
-                ran.append(name)
-                if fail:
-                    raise RuntimeError("still broken")
-                return _fake_figure(name)()
-
-            return figure
-
-        monkeypatch.setitem(
-            figures_mod.ALL_FIGURES, "fig6", tracked("fig6")
-        )
-        monkeypatch.setitem(
-            figures_mod.ALL_FIGURES, "fig8", tracked("fig8", fail=True)
-        )
-        assert main(["figures", "fig6", "fig8", "--out", str(tmp_path)]) == 1
+        monkeypatch.setattr(f"{__name__}._RAN", ran)
+        monkeypatch.setattr(f"{__name__}._BROKEN", {"fig8"})
+        monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig6", _tracked_fig6)
+        monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig8", _tracked_fig8)
+        command = ["figures", "fig6", "fig8", "--out", str(tmp_path)]
+        assert main(command) == 1
         assert ran == ["fig6", "fig8"]
 
         ran.clear()
-        monkeypatch.setitem(
-            figures_mod.ALL_FIGURES, "fig8", tracked("fig8")
-        )
-        code = main(
-            ["figures", "fig6", "fig8", "--out", str(tmp_path), "--resume"]
-        )
+        _BROKEN.clear()
+        (tmp_path / "fig6.txt").unlink()
+        code = main(command)
         captured = capsys.readouterr()
         assert code == 0
-        assert ran == ["fig8"]  # fig6 restored from the manifest
-        assert "fig6: ok from manifest" in captured.out
+        assert ran == ["fig8"]  # fig6 served from the campaign DB
+        assert "1 executed, 1 cached" in captured.out
+        # The cached figure prints and writes its table again.
+        assert (tmp_path / "fig6.txt").exists()
+
+    def test_full_run_after_quick_run_executes_at_full_scale(
+        self, capsys, tmp_path
+    ):
+        from repro.analysis.figures import ALL_FIGURES
+        from repro.analysis.report import format_result
+
+        out = ["--out", str(tmp_path)]
+        assert main(["figures", "fig6", "--quick", *out]) == 0
+        quick_table = (tmp_path / "fig6.txt").read_text()
+        capsys.readouterr()
+
+        full_table = format_result(ALL_FIGURES["fig6"]()) + "\n"
+        assert full_table != quick_table
+        assert main(["figures", "fig6", *out]) == 0
+        assert "1 executed, 0 cached" in capsys.readouterr().out
+        assert (tmp_path / "fig6.txt").read_text() == full_table
+
+        # The same full command again is served from the campaign DB.
+        (tmp_path / "fig6.txt").unlink()
+        assert main(["figures", "fig6", *out]) == 0
+        assert "all 1 task(s) served from campaign cache" in (
+            capsys.readouterr().out)
+        assert (tmp_path / "fig6.txt").read_text() == full_table
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_timeout_records_and_continues(self, capsys, tmp_path, monkeypatch):
-        import time
-
         from repro.analysis import figures as figures_mod
-        from repro.campaign import load_manifest
 
-        monkeypatch.setitem(
-            figures_mod.ALL_FIGURES, "fig6", lambda **_kw: time.sleep(3)
-        )
-        monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig8", _fake_figure())
+        monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig6", _slow_figure)
+        monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig8", _stub_figure)
         code = main(
             [
                 "figures", "fig6", "fig8",
@@ -154,9 +195,7 @@ class TestHardenedFigureRuns:
             ]
         )
         assert code == 1
-        records = load_manifest(tmp_path / "manifest.json")
-        assert records["fig6"].status == "timeout"
-        assert records["fig8"].ok
+        assert _statuses(tmp_path) == {"fig6": "timeout", "fig8": "ok"}
 
     def test_fail_fast_skips_remaining(self, capsys, monkeypatch):
         from repro.analysis import figures as figures_mod
@@ -170,15 +209,11 @@ class TestHardenedFigureRuns:
         monkeypatch.setitem(
             figures_mod.ALL_FIGURES,
             "fig8",
-            lambda **_kw: ran.append("fig8") or _fake_figure()(),
+            lambda **_kw: ran.append("fig8") or _stub_figure(),
         )
         assert main(["figures", "fig6", "fig8", "--fail-fast"]) == 1
         assert not ran
         assert "fail-fast" in capsys.readouterr().out
-
-    def test_resume_requires_a_manifest(self, capsys):
-        assert main(["figures", "fig6", "--resume"]) == 2
-        assert "--resume needs a manifest" in capsys.readouterr().err
 
     def test_retry_flag_reaches_the_runner(self, tmp_path, monkeypatch):
         from repro.analysis import figures as figures_mod
@@ -189,7 +224,7 @@ class TestHardenedFigureRuns:
             calls.append(1)
             if len(calls) < 2:
                 raise RuntimeError("transient")
-            return _fake_figure()()
+            return _stub_figure()
 
         monkeypatch.setitem(figures_mod.ALL_FIGURES, "fig6", flaky)
         code = main(

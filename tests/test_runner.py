@@ -1,8 +1,7 @@
 """Serial campaigns: ``CampaignEngine(jobs=1)`` as the figure batch runner.
 
-Timeouts, retries with reseeding, crash isolation, batch reporting and
-the JSON manifest checkpoint/resume, exercised through the same engine
-every ``repro figures`` run uses.  Closures are fine here: without a
+Timeouts, retries with reseeding, crash isolation and batch reporting,
+exercised through the same engine every ``repro figures`` run uses.  Closures are fine here: without a
 timeout a serial campaign runs its tasks in-process.
 """
 
@@ -16,7 +15,6 @@ from repro.campaign import (
     CampaignTask,
     TaskRecord,
     TaskTimeout,
-    load_manifest,
 )
 from repro.campaign.records import _accepts_seed
 from repro.campaign.worker import _call_with_timeout
@@ -152,61 +150,3 @@ class TestIsolationAndReporting:
             CampaignEngine(retries=-1)
         with pytest.raises(ValueError):
             CampaignEngine(backoff=-0.1)
-
-
-class TestManifest:
-    def test_manifest_written_after_each_task(self, tmp_path):
-        manifest = tmp_path / "m.json"
-        seen = []
-
-        def check():
-            seen.append(load_manifest(manifest))
-            return "ok"
-
-        _run([("first", lambda: 1), ("second", check)], manifest_path=manifest)
-        # By the time "second" runs, "first" is already checkpointed.
-        assert "first" in seen[0] and seen[0]["first"].ok
-        records = load_manifest(manifest)
-        assert {name for name in records} == {"first", "second"}
-
-    def test_resume_skips_ok_and_reruns_failures(self, tmp_path):
-        manifest = tmp_path / "m.json"
-        _run([("good", lambda: 1), ("bad", lambda: 1 / 0)],
-             manifest_path=manifest)
-
-        ran = []
-        report = _run(
-            [
-                ("good", lambda: ran.append("good")),
-                ("bad", lambda: ran.append("bad") or "fixed"),
-            ],
-            manifest_path=manifest, resume=True,
-        )
-        assert ran == ["bad"]
-        assert report.record("good").cached
-        assert not report.record("bad").cached
-        assert report.status == "pass"
-
-    def test_without_resume_everything_reruns(self, tmp_path):
-        manifest = tmp_path / "m.json"
-        _run([("t", lambda: 1)], manifest_path=manifest)
-        ran = []
-        _run([("t", lambda: ran.append(1))], manifest_path=manifest)
-        assert ran == [1]
-
-    def test_corrupt_manifest_loads_empty(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json at all")
-        assert load_manifest(path) == {}
-        path.write_text('{"version": 99, "tasks": {}}')
-        assert load_manifest(path) == {}
-        assert load_manifest(tmp_path / "missing.json") == {}
-
-    def test_record_round_trip(self):
-        record = TaskRecord(
-            name="r", status="timeout", attempts=2, elapsed=1.5,
-            error="timed out", seed=7,
-        )
-        clone = TaskRecord.from_dict(record.to_dict())
-        assert clone.name == "r" and clone.status == "timeout"
-        assert clone.attempts == 2 and clone.seed == 7
