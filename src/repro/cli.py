@@ -42,12 +42,13 @@ Commands
     ``trace_event`` JSON (loadable in Perfetto / chrome://tracing).
     Prints per-kind event counts and the machine counter snapshot.
 
-``leakcheck --victim NAME [--seed S] [--seeds N] [--alpha P]
+``leakcheck --victim NAME [--seed S] [--seeds N]
 [--json FILE] [--expect leaky|clean] [--jobs N] [--no-cache]
 [--campaign-db FILE] [--timeout S] [--retries N]``
     Automated leakage detection: run the victim twice under paired
-    secrets with identical public inputs and diff the metadata event
-    streams (count + KS tests per event kind).  ``--seeds N`` sweeps N
+    secrets with identical public inputs and compare the metadata event
+    streams (a kind is flagged exactly when its two streams differ).
+    ``--seeds N`` sweeps N
     consecutive seeds (sharded across ``--jobs`` workers); ``--expect``
     requires every swept seed to match and turns the verdict into an
     exit code for CI gating.
@@ -542,7 +543,7 @@ def _cmd_leakcheck(args: argparse.Namespace) -> int:
         CampaignTask(
             name=f"leakcheck_{args.victim}_s{seed}",
             fn=run_leakcheck,
-            kwargs={"victim": args.victim, "seed": seed, "alpha": args.alpha},
+            kwargs={"victim": args.victim, "seed": seed},
         )
         for seed in seeds
     ]
@@ -942,7 +943,6 @@ def _cmd_synth_run(args: argparse.Namespace) -> int:
             defense=args.defense,
             budget=args.budget,
             seed=args.seed,
-            alpha=args.alpha,
             gen=_gen_config(args),
             engine=engine,
             corpus=corpus,
@@ -1035,7 +1035,6 @@ def _cmd_synth_minimize(args: argparse.Namespace) -> int:
                 target=target,
                 preset=args.preset,
                 defense=args.defense,
-                alpha=args.alpha,
                 max_oracle_calls=args.max_oracle_calls,
                 progress=lambda line, t=target: print(f"[{t}] {line}"),
             )
@@ -1082,7 +1081,7 @@ def _cmd_synth_verify(args: argparse.Namespace) -> int:
     for path in args.witnesses:
         try:
             witness = load_witness(path)
-            result = witness.verify(alpha=args.alpha)
+            result = witness.verify()
         except (MinimizationError, ValueError, OSError) as error:
             print(f"FAIL {path}: {error}", file=sys.stderr)
             status = 1
@@ -1211,10 +1210,6 @@ def build_parser() -> argparse.ArgumentParser:
     leakcheck.add_argument(
         "--seeds", type=_positive_int, default=1, metavar="N",
         help="sweep N consecutive seeds starting at --seed (default 1)",
-    )
-    leakcheck.add_argument(
-        "--alpha", type=float, default=0.01,
-        help="significance level for the per-kind KS tests",
     )
     leakcheck.add_argument("--json", help="write the full report as JSON")
     leakcheck.add_argument(
@@ -1460,10 +1455,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--defense", choices=DEFENSES, default="none",
             help="defence overlay applied to the preset (default none)",
         )
-        sub.add_argument(
-            "--alpha", type=float, default=0.01,
-            help="significance level for the per-kind KS tests",
-        )
 
     def _synth_corpus_option(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
@@ -1560,10 +1551,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth_verify.add_argument(
         "witnesses", nargs="+", metavar="WITNESS",
         help="witness JSON files to re-verify",
-    )
-    synth_verify.add_argument(
-        "--alpha", type=float, default=0.01,
-        help="significance level for the per-kind KS tests",
     )
     synth_verify.set_defaults(func=_cmd_synth)
 

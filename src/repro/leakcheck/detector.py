@@ -1,53 +1,111 @@
-"""Automated metadata-leakage detection over paired traces.
+"""Automated metadata-leakage detection over paired event streams.
 
 The detector is a leakage-contract checker: run a victim twice under
 paired secrets with identical public inputs, on identically configured
-deterministic machines, and diff the two metadata event streams.  Any
-per-event-kind difference — in event *count*, or in the distribution of
-event values, addresses or inter-arrival times — is attributable to the
-secret, because nothing else differed between the runs.
+deterministic machines, and compare the two metadata event streams.
+Each run records one stream per (component, kind), in emission order,
+of ``(cycle, core, addr, set_index, level, value)`` tuples.  A kind is
+flagged exactly when its two streams differ — in length, in order, or
+in any field of any event — and the finding names the first divergent
+index and the two events there.  Any such difference is attributable to
+the secret, because nothing else differed between the runs.
 
-This rediscovers both MetaLeak channels from traces alone:
+This rediscovers both MetaLeak channels from the streams alone:
 
-* MetaLeak-T signals show up as count/value differences in the
-  ``mee``/``tree`` kinds (counter misses, tree-walk depths, node loads);
-* MetaLeak-C signals show up in ``memctrl``/``dram`` kinds (write-queue
-  enqueues, drains, bank addresses of serviced writes).
+* MetaLeak-T signals show up in the ``mee``/``tree`` kinds (counter
+  misses, tree-walk depths, node loads);
+* MetaLeak-C signals show up in the ``memctrl``/``dram`` kinds
+  (write-queue enqueues, drains, bank addresses of serviced writes).
 
-Determinism (zero timer jitter, which is the config default) means a
-constant-time victim produces *identical* streams, so the clean verdict
-is exact rather than statistical.
+Both verdicts are exact, not statistical.  The machines are
+deterministic (timer jitter is drawn from an RNG seeded by
+``config.seed``), so a secret run twice gives identical streams: a
+constant-time victim comes back clean, and any secret-dependent event
+is flagged.  Nothing is buffered in a ring, so nothing is dropped.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro import obs
 from repro.config import SecureProcessorConfig
 from repro.leakcheck.victims import VictimSpec, get_victim
 from repro.proc.processor import SecureProcessor
-from repro.trace import TraceEvent, Tracer, group_by_kind
-from repro.utils.stats import ks_two_sample
 
-# Below this many events per side, KS p-values are too coarse to trust;
-# count mismatches still flag regardless of sample size.
-_MIN_KS_SAMPLES = 8
+#: Field names of one stream event tuple, in tuple order.
+EVENT_FIELDS = ("cycle", "core", "addr", "set_index", "level", "value")
+
+StreamEvent = tuple[int, int, int | None, int | None, int | None, float | None]
+
+
+class _StreamSink:
+    """Per-(component, kind) event streams of one run, in emission order.
+
+    Occupies a machine's tracer slot (attaching binds its clock).  Unlike
+    :class:`repro.trace.Tracer` it never drops, never sorts and builds no
+    event objects.
+    """
+
+    instrument_slot = "tracer"
+
+    def __init__(self) -> None:
+        self.streams: defaultdict[tuple[str, str], list[StreamEvent]] = (
+            defaultdict(list)
+        )
+
+    def bind_clock(self, clock: Callable[[], int]) -> None:
+        self._clock = clock
+
+    def emit(
+        self,
+        component: str,
+        kind: str,
+        *,
+        cycle: int | None = None,
+        core: int = -1,
+        addr: int | None = None,
+        set_index: int | None = None,
+        level: int | None = None,
+        value: float | None = None,
+    ) -> None:
+        if cycle is None:
+            cycle = self._clock()
+        self.streams[component, kind].append(
+            (cycle, core, addr, set_index, level, value)
+        )
 
 
 @dataclass
 class KindFinding:
-    """Divergence evidence for one (component, kind) event stream."""
+    """Comparison of one (component, kind) stream across the pair.
+
+    ``first_divergence`` is ``None`` for identical streams, else
+    ``{"index": i, "a": event, "b": event}`` where each event is a list
+    in :data:`EVENT_FIELDS` order, or ``None`` past the end of the
+    shorter stream.
+    """
 
     component: str
     kind: str
     count_a: int
     count_b: int
     flagged: bool = False
-    reasons: list[str] = field(default_factory=list)
-    # test name -> {"statistic": ..., "pvalue": ...}
-    tests: dict[str, dict[str, float]] = field(default_factory=dict)
+    first_divergence: dict[str, object] | None = None
+
+    @property
+    def reasons(self) -> list[str]:
+        """Why the streams differ, derived from the stored evidence."""
+        reasons = []
+        if self.count_a != self.count_b:
+            reasons.append(f"count {self.count_a} != {self.count_b}")
+        if self.first_divergence is not None:
+            index = self.first_divergence["index"]
+            reasons.append(f"first divergence at event {index}")
+        return reasons
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -56,8 +114,8 @@ class KindFinding:
             "count_a": self.count_a,
             "count_b": self.count_b,
             "flagged": self.flagged,
-            "reasons": list(self.reasons),
-            "tests": {name: dict(res) for name, res in self.tests.items()},
+            "reasons": self.reasons,
+            "first_divergence": self.first_divergence,
         }
 
     @classmethod
@@ -68,25 +126,24 @@ class KindFinding:
             count_a=int(data["count_a"]),
             count_b=int(data["count_b"]),
             flagged=bool(data["flagged"]),
-            reasons=[str(r) for r in data.get("reasons", [])],
-            tests={
-                str(name): {str(k): float(v) for k, v in res.items()}
-                for name, res in dict(data.get("tests", {})).items()
-            },
+            first_divergence=data.get("first_divergence"),
         )
 
 
 @dataclass
 class LeakReport:
-    """The detector's verdict for one victim/seed pair."""
+    """The detector's verdict for one victim/seed pair.
+
+    ``dropped_a``/``dropped_b`` are always 0 (the oracle's stream sink
+    never drops); they stay for readers of the report JSON.
+    """
 
     victim: str
     seed: int
-    alpha: float
     events_a: int
     events_b: int
-    dropped_a: int
-    dropped_b: int
+    dropped_a: int = 0
+    dropped_b: int = 0
     findings: list[KindFinding] = field(default_factory=list)
 
     @property
@@ -101,7 +158,6 @@ class LeakReport:
         return {
             "victim": self.victim,
             "seed": self.seed,
-            "alpha": self.alpha,
             "events_a": self.events_a,
             "events_b": self.events_b,
             "dropped_a": self.dropped_a,
@@ -115,7 +171,6 @@ class LeakReport:
         return cls(
             victim=str(data["victim"]),
             seed=int(data["seed"]),
-            alpha=float(data["alpha"]),
             events_a=int(data["events_a"]),
             events_b=int(data["events_b"]),
             dropped_a=int(data["dropped_a"]),
@@ -135,10 +190,8 @@ class LeakReport:
     def summary_lines(self) -> list[str]:
         verdict = "LEAKY" if self.leaky else "clean"
         lines = [
-            f"leakcheck: victim={self.victim} seed={self.seed} "
-            f"alpha={self.alpha} -> {verdict}",
-            f"  events: {self.events_a} vs {self.events_b} "
-            f"(dropped {self.dropped_a}/{self.dropped_b})",
+            f"leakcheck: victim={self.victim} seed={self.seed} -> {verdict}",
+            f"  events: {self.events_a} vs {self.events_b}",
         ]
         for finding in self.flagged_findings:
             lines.append(
@@ -149,70 +202,45 @@ class LeakReport:
         return lines
 
 
-def _collect_trace(
-    spec: VictimSpec,
-    secret: object,
-    *,
-    config: SecureProcessorConfig,
-    capacity: int,
-) -> tuple[list[TraceEvent], int]:
+def _simulate(
+    spec: VictimSpec, secret: object, config: SecureProcessorConfig
+) -> dict[tuple[str, str], list[StreamEvent]]:
+    """One side's streams; the machine is not kept alive with them."""
     proc = SecureProcessor(config)
-    tracer = Tracer(capacity=capacity)
-    proc.attach(tracer)
+    sink = _StreamSink()
+    proc.attach(sink)
     spec.run(proc, secret)
-    return tracer.events(), tracer.dropped
+    return sink.streams
 
 
-def _stream_samples(events: list[TraceEvent]) -> dict[str, list[float]]:
-    """Per-dimension scalar samples of one event stream."""
-    samples: dict[str, list[float]] = {"value": [], "addr": [], "interarrival": []}
-    for event in events:
-        if event.value is not None:
-            samples["value"].append(float(event.value))
-        if event.addr is not None:
-            samples["addr"].append(float(event.addr))
-    cycles = [event.cycle for event in events]
-    samples["interarrival"] = [
-        float(b - a) for a, b in zip(cycles, cycles[1:])
-    ]
-    return samples
+def _event_at(stream: list[StreamEvent], index: int) -> list[object] | None:
+    return list(stream[index]) if index < len(stream) else None
 
 
 def _compare_kind(
     component: str,
     kind: str,
-    events_a: list[TraceEvent],
-    events_b: list[TraceEvent],
-    alpha: float,
+    stream_a: list[StreamEvent],
+    stream_b: list[StreamEvent],
 ) -> KindFinding:
     finding = KindFinding(
         component=component,
         kind=kind,
-        count_a=len(events_a),
-        count_b=len(events_b),
+        count_a=len(stream_a),
+        count_b=len(stream_b),
     )
-    if finding.count_a != finding.count_b:
-        finding.flagged = True
-        finding.reasons.append(
-            f"count {finding.count_a} != {finding.count_b}"
-        )
-    samples_a = _stream_samples(events_a)
-    samples_b = _stream_samples(events_b)
-    for dimension in ("value", "addr", "interarrival"):
-        sample_a = samples_a[dimension]
-        sample_b = samples_b[dimension]
-        if len(sample_a) < _MIN_KS_SAMPLES or len(sample_b) < _MIN_KS_SAMPLES:
-            continue
-        result = ks_two_sample(sample_a, sample_b)
-        finding.tests[dimension] = {
-            "statistic": result.statistic,
-            "pvalue": result.pvalue,
-        }
-        if result.pvalue < alpha:
-            finding.flagged = True
-            finding.reasons.append(
-                f"{dimension} KS p={result.pvalue:.3g} < {alpha}"
-            )
+    if stream_a == stream_b:
+        return finding
+    index = next(
+        (i for i, (a, b) in enumerate(zip(stream_a, stream_b)) if a != b),
+        min(len(stream_a), len(stream_b)),
+    )
+    finding.flagged = True
+    finding.first_divergence = {
+        "index": index,
+        "a": _event_at(stream_a, index),
+        "b": _event_at(stream_b, index),
+    }
     return finding
 
 
@@ -220,17 +248,14 @@ def run_leakcheck(
     victim: str | VictimSpec,
     *,
     seed: int = 0,
-    alpha: float = 0.01,
-    capacity: int = 1 << 18,
     config: SecureProcessorConfig | None = None,
 ) -> LeakReport:
-    """Run the paired-secret experiment and diff the event streams.
+    """Run the paired-secret experiment and compare the event streams.
 
     ``victim`` is a registry name (see ``repro.leakcheck.victims``) or a
     user-supplied :class:`VictimSpec`.  The machine defaults to the SCT
     preset with functional crypto off (timing/metadata behaviour is
-    unchanged; the detector only reads event streams) and zero timer
-    jitter, so the two runs are exactly reproducible.
+    unchanged; the detector only reads event streams).
     """
     spec = victim if isinstance(victim, VictimSpec) else get_victim(victim)
     if config is None:
@@ -240,33 +265,27 @@ def run_leakcheck(
         attrs={"victim": spec.name, "seed": seed},
     ) as span:
         secret_a, secret_b = spec.secrets(seed)
-        events_a, dropped_a = _collect_trace(
-            spec, secret_a, config=config, capacity=capacity
-        )
-        events_b, dropped_b = _collect_trace(
-            spec, secret_b, config=config, capacity=capacity
-        )
-        grouped_a = group_by_kind(events_a)
-        grouped_b = group_by_kind(events_b)
-        report = LeakReport(
-            victim=spec.name,
-            seed=seed,
-            alpha=alpha,
-            events_a=len(events_a),
-            events_b=len(events_b),
-            dropped_a=dropped_a,
-            dropped_b=dropped_b,
-        )
-        for key in sorted(set(grouped_a) | set(grouped_b)):
-            component, kind = key
-            report.findings.append(
-                _compare_kind(
-                    component,
-                    kind,
-                    grouped_a.get(key, []),
-                    grouped_b.get(key, []),
-                    alpha,
-                )
+        with obs.start_span("oracle.simulate_a"):
+            streams_a = _simulate(spec, secret_a, config)
+        with obs.start_span("oracle.simulate_b"):
+            streams_b = _simulate(spec, secret_b, config)
+        with obs.start_span("oracle.diff"):
+            report = LeakReport(
+                victim=spec.name,
+                seed=seed,
+                events_a=sum(map(len, streams_a.values())),
+                events_b=sum(map(len, streams_b.values())),
+                findings=[
+                    _compare_kind(
+                        component,
+                        kind,
+                        streams_a.get((component, kind), []),
+                        streams_b.get((component, kind), []),
+                    )
+                    for component, kind in sorted(
+                        streams_a.keys() | streams_b.keys()
+                    )
+                ],
             )
         span.set_many({"leaky": report.leaky,
                        "events": report.events_a + report.events_b})

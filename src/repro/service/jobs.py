@@ -186,6 +186,15 @@ def _require_int(spec: dict, key: str, default: int, *, lo: int | None = None,
     return value
 
 
+def _reject_unknown_keys(kind: str, spec: dict, allowed: set[str]) -> None:
+    unknown = sorted(set(spec) - allowed)
+    if unknown:
+        raise ValueError(
+            f"unknown {kind} spec key(s) {unknown}; "
+            f"allowed: {sorted(allowed)}"
+        )
+
+
 def build_job_tasks(
     kind: str, spec: dict[str, Any]
 ) -> tuple[dict[str, Any], list[CampaignTask]]:
@@ -221,6 +230,7 @@ def build_job_tasks(
         from repro.leakcheck import run_leakcheck
         from repro.leakcheck.victims import victim_names
 
+        _reject_unknown_keys(kind, spec, {"victim", "seed", "seeds"})
         victim = spec.get("victim")
         if victim not in victim_names():
             raise ValueError(
@@ -229,23 +239,12 @@ def build_job_tasks(
             )
         seed = _require_int(spec, "seed", 0)
         seeds = _require_int(spec, "seeds", 1, lo=1, hi=64)
-        alpha = spec.get("alpha", 0.01)
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-            raise ValueError(f"spec['alpha'] must be a number, got {alpha!r}")
-        if not 0 < alpha < 1:
-            raise ValueError(f"spec['alpha'] must be in (0, 1), got {alpha}")
-        normalized = {
-            "victim": victim, "seed": seed, "seeds": seeds,
-            "alpha": float(alpha),
-        }
+        normalized = {"victim": victim, "seed": seed, "seeds": seeds}
         tasks = [
             CampaignTask(
                 name=f"leakcheck_{victim}_s{seed + offset}",
                 fn=run_leakcheck,
-                kwargs={
-                    "victim": victim, "seed": seed + offset,
-                    "alpha": float(alpha),
-                },
+                kwargs={"victim": victim, "seed": seed + offset},
             )
             for offset in range(seeds)
         ]
@@ -278,6 +277,7 @@ def build_job_tasks(
         from repro.synth.fuzz import task_name
         from repro.synth.runner import evaluate_program
 
+        _reject_unknown_keys(kind, spec, {"preset", "defense", "seed", "budget"})
         preset = spec.get("preset", "sct")
         if preset not in preset_names():
             raise ValueError(
@@ -290,14 +290,9 @@ def build_job_tasks(
             )
         seed = _require_int(spec, "seed", 0)
         budget = _require_int(spec, "budget", 16, lo=1, hi=256)
-        alpha = spec.get("alpha", 0.01)
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-            raise ValueError(f"spec['alpha'] must be a number, got {alpha!r}")
-        if not 0 < alpha < 1:
-            raise ValueError(f"spec['alpha'] must be in (0, 1), got {alpha}")
         normalized = {
             "preset": preset, "defense": defense, "seed": seed,
-            "budget": budget, "alpha": float(alpha),
+            "budget": budget,
         }
         tasks = [
             CampaignTask(
@@ -305,7 +300,7 @@ def build_job_tasks(
                 fn=evaluate_program,
                 kwargs={
                     "program": program, "preset": preset, "defense": defense,
-                    "alpha": float(alpha), "gen_seed": gen_seed,
+                    "gen_seed": gen_seed,
                 },
             )
             for gen_seed, program in generate_batch(seed, budget, GenConfig())

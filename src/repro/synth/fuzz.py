@@ -40,7 +40,6 @@ def build_fuzz_tasks(
     defense: str = "none",
     budget: int = 32,
     seed: int = 0,
-    alpha: float = 0.01,
     gen: GenConfig | None = None,
 ) -> list[CampaignTask]:
     """The campaign tasks of one fuzz batch (deterministic in ``seed``)."""
@@ -56,7 +55,6 @@ def build_fuzz_tasks(
                 "program": program,
                 "preset": preset,
                 "defense": defense,
-                "alpha": alpha,
                 "gen_seed": gen_seed,
             },
         )
@@ -113,7 +111,6 @@ def run_fuzz(
     defense: str = "none",
     budget: int = 32,
     seed: int = 0,
-    alpha: float = 0.01,
     gen: GenConfig | None = None,
     engine: CampaignEngine | None = None,
     corpus: Corpus | None = None,
@@ -123,8 +120,7 @@ def run_fuzz(
     if budget < 1:
         raise ValueError(f"fuzz budget must be positive, got {budget}")
     tasks = build_fuzz_tasks(
-        preset=preset, defense=defense, budget=budget, seed=seed,
-        alpha=alpha, gen=gen,
+        preset=preset, defense=defense, budget=budget, seed=seed, gen=gen,
     )
     if engine is None:
         engine = CampaignEngine(jobs=1)

@@ -69,13 +69,11 @@ class _Oracle:
         *,
         preset: str,
         defense: str,
-        alpha: float,
         components: frozenset[str],
         max_calls: int,
     ) -> None:
         self.preset = preset
         self.defense = defense
-        self.alpha = alpha
         self.components = components
         self.max_calls = max_calls
         self.calls = 0
@@ -91,8 +89,7 @@ class _Oracle:
             return False
         self.calls += 1
         result = evaluate_program(
-            program=program, preset=self.preset, defense=self.defense,
-            alpha=self.alpha,
+            program=program, preset=self.preset, defense=self.defense
         )
         if result.hits(self.components):
             self.last = result
@@ -181,7 +178,6 @@ def minimize_program(
     target: str = "metadata",
     preset: str = "sct",
     defense: str = "none",
-    alpha: float = 0.01,
     max_oracle_calls: int = 400,
     progress: Callable[[str], None] | None = None,
 ) -> MinimizeResult:
@@ -198,7 +194,7 @@ def minimize_program(
         )
     components = resolve_target(target)
     oracle = _Oracle(
-        preset=preset, defense=defense, alpha=alpha,
+        preset=preset, defense=defense,
         components=components, max_calls=max_oracle_calls,
     )
     if not oracle.leaks(program):
@@ -218,7 +214,7 @@ def minimize_program(
                  f"({oracle.calls} oracle calls)")
     # Final re-check: the witness the caller gets is verified as-is.
     final = evaluate_program(
-        program=current, preset=preset, defense=defense, alpha=alpha
+        program=current, preset=preset, defense=defense
     )
     oracle.calls += 1
     if not final.hits(components):  # pragma: no cover - invariant guard
@@ -281,11 +277,10 @@ class Witness:
     program: Program
     channels: tuple[tuple[str, str], ...]
 
-    def verify(self, *, alpha: float = 0.01) -> SynthResult:
+    def verify(self) -> SynthResult:
         """Re-run the oracle; raises MinimizationError if it went stale."""
         result = evaluate_program(
-            program=self.program, preset=self.preset, defense=self.defense,
-            alpha=alpha,
+            program=self.program, preset=self.preset, defense=self.defense
         )
         if not result.hits(resolve_target(self.target)):
             raise MinimizationError(

@@ -166,7 +166,6 @@ class SynthResult:
     program: Program
     preset: str
     defense: str
-    alpha: float
     gen_seed: int
     leaky: bool
     metadata_leaky: bool
@@ -202,9 +201,7 @@ def evaluate_program(
     program: Program,
     preset: str = "sct",
     defense: str = "none",
-    alpha: float = 0.01,
     gen_seed: int = -1,
-    capacity: int = 1 << 18,
 ) -> SynthResult:
     """Run the paired-secret oracle on one program and classify it."""
     config = synth_config(preset, defense)
@@ -213,16 +210,13 @@ def evaluate_program(
         "oracle.evaluate", kind="oracle.evaluate",
         attrs={"preset": preset, "defense": defense, "gen_seed": gen_seed},
     ) as span:
-        report = run_leakcheck(
-            spec, seed=0, alpha=alpha, capacity=capacity, config=config
-        )
+        report = run_leakcheck(spec, seed=0, config=config)
         channels = classify_report(report)
         span.set("leaky", report.leaky)
     return SynthResult(
         program=program,
         preset=preset,
         defense=defense,
-        alpha=alpha,
         gen_seed=gen_seed,
         leaky=report.leaky,
         metadata_leaky=any(

@@ -131,6 +131,8 @@ class TestJobSpecs:
             ("probe", {"preset": "enigma"}),
             ("leakcheck", {"victim": "nonexistent"}),
             ("leakcheck", {"victim": "rsa", "alpha": 2.0}),
+            ("leakcheck", {"victim": "rsa", "alpha": 0.01}),
+            ("leakcheck", {"victim": "rsa", "seed": 1, "verbose": True}),
             ("leakcheck", {"victim": "rsa", "seeds": 0}),
             ("bench", {"scenario": "nope"}),
             ("mine-bitcoin", {}),
@@ -234,6 +236,11 @@ class TestServiceHTTP:
                 host, port, "POST", "/jobs", {"kind": "probe", "spec": {"ops": 0}}
             )
             assert status == 400 and "ops" in err["error"]
+            status, _, err = await http_request(
+                host, port, "POST", "/jobs",
+                {"kind": "leakcheck", "spec": {"victim": "rsa", "alpha": 0.01}},
+            )
+            assert status == 400 and "'alpha'" in err["error"]
             status, _, err = await http_request(host, port, "GET", "/jobs/ghost")
             assert status == 404
             status, _, err = await http_request(host, port, "PUT", "/jobs")

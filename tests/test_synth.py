@@ -160,7 +160,7 @@ class TestProgramPayloadCodec:
 
     def test_result_round_trips(self):
         result = SynthResult(
-            program=LEAKER, preset="sct", defense="none", alpha=0.01,
+            program=LEAKER, preset="sct", defense="none",
             gen_seed=7, leaky=True, metadata_leaky=True,
             channels=(("mee", "tree_walk"), ("dram", "read")), events=123,
         )
@@ -248,7 +248,7 @@ class TestOracle:
 def _result(program, *, leaky=True, channels=(("mee", "tree_walk"),),
             gen_seed=0):
     return SynthResult(
-        program=program, preset="sct", defense="none", alpha=0.01,
+        program=program, preset="sct", defense="none",
         gen_seed=gen_seed, leaky=leaky,
         metadata_leaky=any(c in {"mee", "tree", "memctrl", "dram", "crypto"}
                            for c, _ in channels),
@@ -459,8 +459,7 @@ class TestSynthJobKind:
             "synth", {"budget": 3, "seed": 4}
         )
         assert normalized == {
-            "preset": "sct", "defense": "none", "seed": 4,
-            "budget": 3, "alpha": 0.01,
+            "preset": "sct", "defense": "none", "seed": 4, "budget": 3,
         }
         expected = build_fuzz_tasks(budget=3, seed=4)
         assert [t.name for t in tasks] == [t.name for t in expected]
@@ -476,6 +475,7 @@ class TestSynthJobKind:
             {"budget": 10_000},
             {"alpha": 0.0},
             {"alpha": True},
+            {"budget": 3, "victim": "rsa"},
         ],
     )
     def test_bad_specs_rejected(self, spec):
