@@ -23,7 +23,7 @@ unchanged — only the allocation time moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.config import CacheConfig
 from repro.core import Component
@@ -32,8 +32,7 @@ from repro.trace.counters import CounterRegistry
 from repro.utils.bitops import log2_exact
 
 
-@dataclass(frozen=True)
-class CacheAccess:
+class CacheAccess(NamedTuple):
     """Outcome of one cache operation."""
 
     hit: bool
@@ -75,6 +74,9 @@ class SetAssocCache(Component):
         # fill (probes of untouched sets never allocate).
         self._sets: dict[int, _CacheSet] = {}
         self._seed = seed
+        # ``victim`` is only asked when every way is occupied, so one
+        # shared all-True occupancy list serves every full-set fill.
+        self._all_occupied = [True] * self.ways
         self.counters = CounterRegistry()
         self._hits = self.counters.counter("hits")
         self._misses = self.counters.counter("misses")
@@ -156,28 +158,26 @@ class SetAssocCache(Component):
         If the block is already present this refreshes recency (and ORs in
         the dirty bit) instead of double-filling.
         """
-        block, set_index = self.decompose(addr)
-        cache_set = self._set_at(set_index)
+        block = addr & self._block_mask
+        set_index = (block >> self._block_shift) % self.num_sets
+        cache_set = self._sets.get(set_index) or self._set_at(set_index)
         way = cache_set.index_of.get(block)
         if way is not None:
             cache_set.dirty[way] = cache_set.dirty[way] or dirty
             cache_set.policy.on_access(way)
             return _HIT
-        evicted_addr = None
-        evicted_dirty = False
         tags = cache_set.tags
-        free_way = None
-        for w, tag in enumerate(tags):
-            if tag is None:
-                free_way = w
-                break
-        if free_way is None:
-            occupied = [tag is not None for tag in tags]
-            free_way = cache_set.policy.victim(occupied)
+        if len(cache_set.index_of) < self.ways:
+            # Lowest free way, exactly what a scan over the tags finds.
+            free_way = tags.index(None)
+            evicted_addr = None
+            evicted_dirty = False
+        else:
+            free_way = cache_set.policy.victim(self._all_occupied)
             evicted_addr = tags[free_way]
             evicted_dirty = cache_set.dirty[free_way]
             del cache_set.index_of[evicted_addr]
-        cache_set.tags[free_way] = block
+        tags[free_way] = block
         cache_set.dirty[free_way] = dirty
         cache_set.index_of[block] = free_way
         cache_set.policy.on_fill(free_way)
@@ -203,9 +203,7 @@ class SetAssocCache(Component):
             self.fault_hook.on_cache_fill(self.config.name, block)
         if evicted_addr is None:
             return _FILLED
-        return CacheAccess(
-            hit=False, evicted_addr=evicted_addr, evicted_dirty=evicted_dirty
-        )
+        return CacheAccess(False, evicted_addr, evicted_dirty)
 
     def mark_dirty(self, addr: int) -> None:
         """Set the dirty bit of a resident block (no-op if absent)."""

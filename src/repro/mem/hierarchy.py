@@ -49,6 +49,13 @@ class DataCacheSystem(Component):
     socket.  Inclusivity keeps the coherence story trivial while preserving
     the property the attacks rely on: a flushed or evicted block's next
     access reaches the memory controller.
+
+    Like a real inclusive LLC, the L3 side keeps *core-valid bits*: per
+    block, a bitmask of the cores whose L1/L2 may hold it.  Every private
+    fill sets its core's bit, so flushes and back-invalidations probe only
+    the flagged cores.  The mask is a superset: a silent private eviction
+    leaves a stale bit (one no-op invalidate later), never a missed copy.
+    Entries leave when the L3 evicts or flushes the block.
     """
 
     def __init__(self, config: SecureProcessorConfig) -> None:
@@ -58,6 +65,13 @@ class DataCacheSystem(Component):
         self.cores_per_socket = config.cores // config.sockets
         self.core_caches = [CoreCaches(config, i) for i in range(config.cores)]
         self.l3s = [SetAssocCache(config.l3) for _ in range(config.sockets)]
+        self._core_l3 = [self.l3s[self.socket_of(c)] for c in range(config.cores)]
+        per_socket = (1 << self.cores_per_socket) - 1
+        self._socket_cores = [
+            per_socket << (s * self.cores_per_socket) for s in range(config.sockets)
+        ]
+        # Core-valid bits: block -> mask of cores whose L1/L2 may hold it.
+        self._sharers: dict[int, int] = {}
         # Timing table, precomputed once: cumulative lookup cost after
         # probing 1, 2 or 3 levels.  The functional probes above never
         # carry latency themselves (see the functional/timing split in
@@ -77,9 +91,6 @@ class DataCacheSystem(Component):
     def socket_of(self, core: int) -> int:
         return core // self.cores_per_socket
 
-    def _l3_of(self, core: int) -> SetAssocCache:
-        return self.l3s[self.socket_of(core)]
-
     # ------------------------------------------------------------------
     # Access path
     # ------------------------------------------------------------------
@@ -88,7 +99,6 @@ class DataCacheSystem(Component):
         """Look up ``addr`` for ``core``; no fill happens on a miss."""
         block = block_address(addr)
         caches = self.core_caches[core]
-        l3 = self._l3_of(core)
         hit_latency = self.hit_latency
 
         if caches.l1.lookup(block):
@@ -97,16 +107,14 @@ class DataCacheSystem(Component):
             return HierarchyResult(hit_level=1, latency=hit_latency[0])
 
         if caches.l2.lookup(block):
-            result = self._promote_to_l1(core, block, dirty=is_write)
-            result.hit_level = 2
-            result.latency += hit_latency[1]
-            return result
+            writebacks: list[int] = []
+            self._fill_l1(core, block, is_write, writebacks)
+            return HierarchyResult(2, hit_latency[1], writebacks)
 
-        if l3.lookup(block):
-            result = self._promote_to_l1_l2(core, block, dirty=is_write)
-            result.hit_level = 3
-            result.latency += hit_latency[2]
-            return result
+        if self._core_l3[core].lookup(block):
+            writebacks = []
+            self._fill_private(core, block, is_write, writebacks)
+            return HierarchyResult(3, hit_latency[2], writebacks)
 
         return HierarchyResult(hit_level=None, latency=self.miss_lookup_latency)
 
@@ -117,70 +125,73 @@ class DataCacheSystem(Component):
         """
         block = block_address(addr)
         writebacks: list[int] = []
-        l3 = self._l3_of(core)
-        l3_evt = l3.insert(block)
+        l3_evt = self._core_l3[core].insert(block)
         if l3_evt.evicted_addr is not None:
             # Inclusive L3: back-invalidate private copies in this socket.
             dirty_private = self._back_invalidate(core, l3_evt.evicted_addr)
             if l3_evt.evicted_dirty or dirty_private:
                 writebacks.append(l3_evt.evicted_addr)
-        writebacks.extend(self._fill_private(core, block, dirty=dirty))
+        self._fill_private(core, block, dirty, writebacks)
         return writebacks
 
-    def _fill_private(self, core: int, block: int, *, dirty: bool) -> list[int]:
-        caches = self.core_caches[core]
-        writebacks: list[int] = []
-        l2_evt = caches.l2.insert(block)
+    def _fill_private(
+        self, core: int, block: int, dirty: bool, writebacks: list[int]
+    ) -> None:
+        """Install ``block`` in ``core``'s L2 and L1."""
+        l2_evt = self.core_caches[core].l2.insert(block)
         if l2_evt.evicted_addr is not None and l2_evt.evicted_dirty:
-            # Dirty L2 victim folds into the (inclusive) L3 copy if present,
-            # otherwise it must go to memory.
-            l3 = self._l3_of(core)
-            if l3.contains(l2_evt.evicted_addr):
-                l3.mark_dirty(l2_evt.evicted_addr)
-            else:
-                writebacks.append(l2_evt.evicted_addr)
-        l1_evt = caches.l1.insert(block, dirty=dirty)
-        if l1_evt.evicted_addr is not None and l1_evt.evicted_dirty:
-            if caches.l2.contains(l1_evt.evicted_addr):
-                caches.l2.mark_dirty(l1_evt.evicted_addr)
-            else:
-                l3 = self._l3_of(core)
-                if l3.contains(l1_evt.evicted_addr):
-                    l3.mark_dirty(l1_evt.evicted_addr)
-                else:
-                    writebacks.append(l1_evt.evicted_addr)
-        return writebacks
+            self._spill_to_l3(core, l2_evt.evicted_addr, writebacks)
+        self._fill_l1(core, block, dirty, writebacks)
 
-    def _promote_to_l1(self, core: int, block: int, *, dirty: bool) -> HierarchyResult:
-        writebacks = self._fill_l1_only(core, block, dirty=dirty)
-        return HierarchyResult(hit_level=None, latency=0, writebacks=writebacks)
+    def _fill_l1(
+        self, core: int, block: int, dirty: bool, writebacks: list[int]
+    ) -> None:
+        """Install ``block`` in ``core``'s L1 and set the core's bit.
 
-    def _promote_to_l1_l2(
-        self, core: int, block: int, *, dirty: bool
-    ) -> HierarchyResult:
-        writebacks = self._fill_private(core, block, dirty=dirty)
-        return HierarchyResult(hit_level=None, latency=0, writebacks=writebacks)
-
-    def _fill_l1_only(self, core: int, block: int, *, dirty: bool) -> list[int]:
+        Every private fill ends here, so this is the one place a block
+        enters a core's L1/L2 and its core-valid bit gets set.
+        """
+        self._sharers[block] = self._sharers.get(block, 0) | (1 << core)
         caches = self.core_caches[core]
-        writebacks: list[int] = []
         l1_evt = caches.l1.insert(block, dirty=dirty)
         if l1_evt.evicted_addr is not None and l1_evt.evicted_dirty:
-            if caches.l2.contains(l1_evt.evicted_addr):
-                caches.l2.mark_dirty(l1_evt.evicted_addr)
+            # A dirty L1 victim folds into L2, else into the inclusive L3,
+            # else it goes to memory.
+            victim = l1_evt.evicted_addr
+            if caches.l2.contains(victim):
+                caches.l2.mark_dirty(victim)
             else:
-                writebacks.append(l1_evt.evicted_addr)
-        return writebacks
+                self._spill_to_l3(core, victim, writebacks)
+
+    def _spill_to_l3(self, core: int, victim: int, writebacks: list[int]) -> None:
+        """Fold a dirty private victim into the L3 copy, or write it back."""
+        l3 = self._core_l3[core]
+        if l3.contains(victim):
+            l3.mark_dirty(victim)
+        else:
+            writebacks.append(victim)
 
     def _back_invalidate(self, core: int, block: int) -> bool:
         """Remove ``block`` from all private caches in ``core``'s socket."""
-        socket = self.socket_of(core)
+        mask = self._sharers.pop(block, 0)
+        socket_cores = self._socket_cores[self.socket_of(core)]
+        others = mask & ~socket_cores
+        if others:
+            self._sharers[block] = others
+        return self._invalidate_private(block, mask & socket_cores)
+
+    def _invalidate_private(self, block: int, mask: int) -> bool:
+        """Invalidate ``block`` in the L1/L2 of every core flagged in
+        ``mask``; True if any dropped copy was dirty."""
         dirty_any = False
-        first = socket * self.cores_per_socket
-        for caches in self.core_caches[first : first + self.cores_per_socket]:
-            for cache in (caches.l1, caches.l2):
-                _, dirty = cache.invalidate(block)
-                dirty_any = dirty_any or dirty
+        core_caches = self.core_caches
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            caches = core_caches[low.bit_length() - 1]
+            _, l1_dirty = caches.l1.invalidate(block)
+            _, l2_dirty = caches.l2.invalidate(block)
+            dirty_any = dirty_any or l1_dirty or l2_dirty
         return dirty_any
 
     # ------------------------------------------------------------------
@@ -194,11 +205,7 @@ class DataCacheSystem(Component):
         written back (the processor routes them to the memory controller).
         """
         block = block_address(addr)
-        dirty_any = False
-        for caches in self.core_caches:
-            for cache in (caches.l1, caches.l2):
-                _, dirty = cache.invalidate(block)
-                dirty_any = dirty_any or dirty
+        dirty_any = self._invalidate_private(block, self._sharers.pop(block, 0))
         for l3 in self.l3s:
             _, dirty = l3.invalidate(block)
             dirty_any = dirty_any or dirty

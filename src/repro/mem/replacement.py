@@ -48,8 +48,7 @@ class LruPolicy(ReplacementPolicy):
             stack.remove(way)
         stack.append(way)
 
-    def on_fill(self, way: int) -> None:
-        self.on_access(way)
+    on_fill = on_access
 
     def victim(self, occupied: list[bool]) -> int:
         for way in self._stack:
@@ -81,11 +80,7 @@ class TreePlruPolicy(ReplacementPolicy):
                 way -= half
             span = half
 
-    def on_access(self, way: int) -> None:
-        self._walk_update(way)
-
-    def on_fill(self, way: int) -> None:
-        self._walk_update(way)
+    on_access = on_fill = _walk_update
 
     def victim(self, occupied: list[bool]) -> int:
         node = 0

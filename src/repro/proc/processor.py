@@ -214,6 +214,7 @@ class SecureProcessor(Component):
         block = block_address(addr)
         txn = self._begin()
         hier = self.caches.access(core, block, is_write=False)
+        self._handle_writebacks(hier.writebacks)
         if hier.hit_level is not None:
             path = (AccessPath.L1_HIT, AccessPath.L2_HIT, AccessPath.L3_HIT)[
                 hier.hit_level - 1
@@ -234,7 +235,6 @@ class SecureProcessor(Component):
                 cycle=self.cycle,
                 data=self._plain.get(block, bytes(BLOCK_SIZE)),
             )
-        self._handle_writebacks(hier.writebacks)
         txn.charge("cache.lookup", hier.latency)
         outcome = self.mee.read_data(block, self.cycle + hier.latency, txn=txn)
         for writeback in self.caches.fill(core, block, dirty=False):
@@ -267,6 +267,7 @@ class SecureProcessor(Component):
         self._plain[block] = self._coerce_data(block, data)
         txn = self._begin()
         hier = self.caches.access(core, block, is_write=True)
+        self._handle_writebacks(hier.writebacks)
         if hier.hit_level is not None:
             self.cycle += hier.latency
             path = (AccessPath.L1_HIT, AccessPath.L2_HIT, AccessPath.L3_HIT)[
@@ -282,7 +283,6 @@ class SecureProcessor(Component):
             self._finish(txn, "write", core, block, path=path,
                          latency=hier.latency)
             return AccessResult(latency=hier.latency, path=path, cycle=self.cycle)
-        self._handle_writebacks(hier.writebacks)
         txn.charge("cache.lookup", hier.latency)
         # Fetch-for-write: the miss path is the same as a read.
         outcome = self.mee.read_data(block, self.cycle + hier.latency, txn=txn)

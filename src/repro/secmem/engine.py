@@ -239,23 +239,19 @@ class MemoryEncryptionEngine(Component):
             return tree.leaf_parent_value(cb_index)
         return 0  # hash tree binds the full image instead
 
-    def _stored_cb_hash(self, cb_index: int) -> int:
-        if cb_index not in self._cb_hashes:
-            self._cb_hashes[cb_index] = self._expected_cb_hash(cb_index)
-        return self._cb_hashes[cb_index]
-
     def _refresh_cb_hash(self, cb_index: int) -> None:
         self._cb_hashes[cb_index] = self._expected_cb_hash(cb_index)
 
-    def _verify_counter_block(self, cb_index: int) -> None:
-        if self._stored_cb_hash(cb_index) != self._expected_cb_hash(cb_index):
+    def _verify_counter_block(self, cb_index: int, tree) -> None:
+        # A counter block first seen now is stored with the hash it is
+        # expected to carry (it has never been off-chip under another).
+        expected = self._expected_cb_hash(cb_index)
+        if self._cb_hashes.setdefault(cb_index, expected) != expected:
             raise IntegrityViolation(
                 f"counter block {cb_index} failed freshness verification"
             )
         try:
-            self._tree_for(self._domain_of_cb(cb_index)).verify_counter_block(
-                cb_index, self.counters.counter_block_image(cb_index)
-            )
+            tree.verify_counter_block(cb_index)
         except TreeIntegrityError as exc:
             raise IntegrityViolation(str(exc)) from exc
 
@@ -397,7 +393,7 @@ class MemoryEncryptionEngine(Component):
         leg.charge("counter.hash", crypto.hash_latency)
         if self.fault_hook is not None:
             self.fault_hook.on_meta_fetch("counter", 0, cb_index)
-        self._verify_counter_block(cb_index)
+        self._verify_counter_block(cb_index, tree)
         # Fill the metadata cache (counter block + fetched nodes).
         self._meta_fill(cb_addr, dirty=False, now=now)
         for _, _, node_addr in missed:
@@ -406,6 +402,8 @@ class MemoryEncryptionEngine(Component):
 
     def _cache_for(self, meta_addr: int) -> SetAssocCache:
         """Which on-chip structure holds this metadata block."""
+        if self.tree_cache is self.meta_cache:
+            return self.meta_cache
         _, base_addr = self._untag(meta_addr)
         if self.layout.is_tree_addr(base_addr):
             return self.tree_cache

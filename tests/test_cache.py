@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig
-from repro.mem.cache import SetAssocCache
+from repro.mem.cache import CacheAccess, SetAssocCache
+from repro.mem.replacement import make_policy
 
 
 def small_cache(sets=4, ways=2):
@@ -164,3 +165,117 @@ class TestOccupancyInvariants:
         for addr in addrs:
             cache.insert(addr)
         assert set(cache) == addrs
+
+
+class _ReferenceCache:
+    """The cache written the plain way: one set at a time, the lowest
+    free way first, otherwise ``victim`` over the scanned occupancy."""
+
+    def __init__(self, sets: int, ways: int, replacement: str) -> None:
+        self.sets, self.ways, self.replacement = sets, ways, replacement
+        self._tags: dict[int, list] = {}
+        self._dirty: dict[int, list] = {}
+        self._policy: dict[int, object] = {}
+
+    def _set(self, block: int) -> int:
+        index = (block // 64) % self.sets
+        if index not in self._tags:
+            self._tags[index] = [None] * self.ways
+            self._dirty[index] = [False] * self.ways
+            self._policy[index] = make_policy(self.replacement, self.ways, index)
+        return index
+
+    def _way(self, index: int, block: int):
+        tags = self._tags[index]
+        return tags.index(block) if block in tags else None
+
+    def lookup(self, block: int, touch: bool) -> bool:
+        index = self._set(block)
+        way = self._way(index, block)
+        if way is not None and touch:
+            self._policy[index].on_access(way)
+        return way is not None
+
+    def insert(self, block: int, dirty: bool) -> CacheAccess:
+        index = self._set(block)
+        tags, dirt, policy = self._tags[index], self._dirty[index], self._policy[index]
+        way = self._way(index, block)
+        if way is not None:
+            dirt[way] = dirt[way] or dirty
+            policy.on_access(way)
+            return CacheAccess(hit=True)
+        evicted = CacheAccess(hit=False)
+        free = [w for w, tag in enumerate(tags) if tag is None]
+        if free:
+            way = free[0]
+        else:
+            way = policy.victim([tag is not None for tag in tags])
+            evicted = CacheAccess(False, tags[way], dirt[way])
+        tags[way], dirt[way] = block, dirty
+        policy.on_fill(way)
+        return evicted
+
+    def invalidate(self, block: int) -> tuple[bool, bool]:
+        index = self._set(block)
+        way = self._way(index, block)
+        if way is None:
+            return False, False
+        was_dirty = self._dirty[index][way]
+        self._tags[index][way], self._dirty[index][way] = None, False
+        return True, was_dirty
+
+    def mark_dirty(self, block: int) -> None:
+        index = self._set(block)
+        way = self._way(index, block)
+        if way is not None:
+            self._dirty[index][way] = True
+
+    def state_snapshot(self) -> dict:
+        snapshot = {}
+        for index in sorted(self._tags):
+            tags, dirt = self._tags[index], self._dirty[index]
+            if self.replacement == "lru":
+                order = self._policy[index]._stack
+            else:
+                order = range(self.ways)
+            entries = tuple((tags[w], dirt[w]) for w in order if tags[w] is not None)
+            if entries:
+                snapshot[index] = entries
+        return snapshot
+
+
+_CACHE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("insert", "lookup", "invalidate", "mark_dirty")),
+        st.integers(min_value=0, max_value=23),  # block id
+        st.booleans(),  # dirty (insert) / touch (lookup)
+    ),
+    max_size=150,
+)
+
+
+class TestReferenceModel:
+    @given(
+        st.sampled_from(("lru", "plru", "random")),
+        st.sampled_from((1, 2, 4)),  # sets
+        st.sampled_from((1, 2, 4)),  # ways (tree-PLRU needs a power of two)
+        _CACHE_OPS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_cache(self, replacement, sets, ways, operations):
+        cache = SetAssocCache(
+            CacheConfig("t", sets * ways * 64, ways, 1), replacement=replacement
+        )
+        model = _ReferenceCache(sets, ways, replacement)
+        for op, block_id, flag in operations:
+            block = block_id * 64
+            if op == "insert":
+                assert cache.insert(block, dirty=flag) == model.insert(block, flag)
+            elif op == "lookup":
+                assert cache.lookup(block, touch=flag) == model.lookup(block, flag)
+            elif op == "invalidate":
+                assert cache.invalidate(block) == model.invalidate(block)
+            else:
+                cache.mark_dirty(block)
+                model.mark_dirty(block)
+        assert cache.state_snapshot() == model.state_snapshot()

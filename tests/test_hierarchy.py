@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.config import KIB, CacheConfig, SecureProcessorConfig
 from repro.mem.hierarchy import DataCacheSystem
+from repro.proc import SecureProcessor
 
 
 def tiny_machine(cores=2, sockets=1):
@@ -135,3 +136,87 @@ class TestWritebackInvariants:
                 assert writeback in dirty_ever
             for l3 in caches.l3s:
                 assert l3.occupancy() <= l3.num_sets * l3.ways
+
+
+def _two_socket_processor():
+    """4 cores on 2 sockets with tiny caches.  The pool puts five blocks
+    in each of three L3 sets; two of those sets share an L1 set but not
+    an L2 set, so L1 evictions leave L2 hits behind."""
+    config = SecureProcessorConfig.sct_default(
+        cores=4, sockets=2, functional_crypto=False
+    ).with_overrides(
+        l1=CacheConfig("L1", 2 * KIB, 2, 1),
+        l2=CacheConfig("L2", 4 * KIB, 2, 10),
+        l3=CacheConfig("L3", 8 * KIB, 2, 40),
+    )
+    proc = SecureProcessor(config)
+    sets = proc.caches.l3s[0].num_sets
+    pool = [(tag * sets + index) * 64 for tag in range(5) for index in (0, 1, 16)]
+    return proc, pool
+
+
+def _sgx_processor():
+    """The 8-core sgx preset.  The pool overfills one L3 set (24 blocks
+    for 16 ways) and adds four blocks of another L3 set; all 28 share
+    one L1 set."""
+    proc = SecureProcessor(SecureProcessorConfig.sgx_default(functional_crypto=False))
+    l1, l3 = proc.caches.core_caches[0].l1, proc.caches.l3s[0]
+    stride = l3.num_sets * 64
+    pool = [i * stride for i in range(l3.ways + 8)]
+    pool += [i * stride + l1.num_sets * 64 for i in range(4)]
+    return proc, pool
+
+
+def _assert_inclusive_with_core_bits(caches: DataCacheSystem):
+    for core, private in enumerate(caches.core_caches):
+        l3 = caches.l3s[caches.socket_of(core)]
+        for cache in (private.l1, private.l2):
+            for block in cache:
+                assert l3.contains(block), (core, cache.config.name, hex(block))
+                assert caches._sharers.get(block, 0) >> core & 1, (core, hex(block))
+    # Entries leave with the L3 line: a flagged socket still holds the block.
+    for block, mask in caches._sharers.items():
+        assert mask
+        for core in range(len(caches.core_caches)):
+            if mask >> core & 1:
+                assert caches.l3s[caches.socket_of(core)].contains(block)
+
+
+_PROC_OPS = st.lists(
+    st.tuples(
+        # Mostly fills, so sets overflow between the flushes.
+        st.sampled_from(
+            ("read", "read", "read", "write", "write", "write_through",
+             "flush", "drain")
+        ),
+        st.integers(min_value=0, max_value=7),  # core (mod cores)
+        st.integers(min_value=0, max_value=63),  # pool slot (mod pool size)
+    ),
+    max_size=100,
+)
+
+
+class TestCoreValidBits:
+    """After every operation, each block in a core's L1/L2 is in its
+    socket's L3 and carries that core's core-valid bit."""
+
+    @pytest.mark.parametrize("machine", [_two_socket_processor, _sgx_processor])
+    @given(operations=_PROC_OPS)
+    @settings(max_examples=25, deadline=None)
+    def test_inclusion_and_core_bits_hold(self, machine, operations):
+        proc, pool = machine()
+        cores = proc.config.cores
+        for op, core, slot in operations:
+            addr = pool[slot % len(pool)]
+            core %= cores
+            if op == "read":
+                proc.read(addr, core=core)
+            elif op == "write":
+                proc.write(addr, b"x", core=core)
+            elif op == "write_through":
+                proc.write_through(addr, b"y", core=core)
+            elif op == "flush":
+                proc.flush(addr)
+            else:
+                proc.drain_writes()
+            _assert_inclusive_with_core_bits(proc.caches)

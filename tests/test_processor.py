@@ -77,6 +77,35 @@ class TestWriteSemantics:
         proc.flush(0x3000)
         assert proc.memctrl.pending_writes() == pending_before
 
+    def test_dirty_l1_victim_of_l2_hit_promotion_reaches_memory(self):
+        # A store that L2 evicted but L1 kept must survive L1 evicting it
+        # during an L2-hit promotion: it folds into the inclusive L3, and
+        # the flush writes it back (a counter increment MetaLeak-C reads).
+        proc = SecureProcessor(
+            SecureProcessorConfig.sct_default(functional_crypto=False)
+        )
+        x = 0x100000
+        l2_span = proc.caches.core_caches[0].l2.num_sets * 64
+        proc.write(x)
+        for k in range(1, 5):  # conflict X out of L2, not out of L1
+            proc.read(x + k * l2_span)
+        assert proc.caches.core_caches[0].l1.contains(x)
+        assert not proc.caches.core_caches[0].l2.contains(x)
+        for j in range(1, 4):
+            proc.read(x + j * PAGE_SIZE)
+        assert proc.read(x).path is AccessPath.L1_HIT
+        for j in range(10, 17):
+            proc.read(x + j * PAGE_SIZE)
+        # Promoting an L2 hit into L1 evicts the dirty X from L1.
+        assert proc.read(x + PAGE_SIZE).path is AccessPath.L2_HIT
+        assert not proc.caches.core_caches[0].l1.contains(x)
+        counter_before = proc.mee.counters.current(x // 64)
+        serviced_before = proc.mee.stats.writes_serviced
+        proc.flush(x)
+        proc.drain_writes()
+        assert proc.mee.stats.writes_serviced - serviced_before == 1
+        assert proc.mee.counters.current(x // 64) == counter_before + 1
+
 
 class TestStats:
     def test_path_counting(self, proc):
